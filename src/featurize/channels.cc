@@ -9,50 +9,60 @@ namespace fgro {
 
 Vec OperatorFeatureRow(const Operator& op, int partition_count,
                        const AimEntry& aim, const ChannelMask& mask) {
-  Vec row(static_cast<size_t>(kOpFeatureDim), 0.0);
-  if (!mask.ch1) return row;
+  Vec row(static_cast<size_t>(kOpFeatureDim));
+  OperatorFeatureRowInto(op, partition_count, aim, mask, row.data());
+  return row;
+}
+
+void OperatorFeatureRowInto(const Operator& op, int partition_count,
+                            const AimEntry& aim, const ChannelMask& mask,
+                            double* row) {
+  for (int i = 0; i < kOpFeatureDim; ++i) row[i] = 0.0;
+  if (!mask.ch1) return;
   int off = 0;
   // One-hot operator type (CT1).
-  row[static_cast<size_t>(off + static_cast<int>(op.type))] = 1.0;
+  row[off + static_cast<int>(op.type)] = 1.0;
   off += kOpTypeOneHotDim;
   // CT2: CBO/HBO statistics.
-  row[static_cast<size_t>(off + 0)] = Log1pSafe(op.estimate.input_rows);
-  row[static_cast<size_t>(off + 1)] = Log1pSafe(op.estimate.output_rows);
-  row[static_cast<size_t>(off + 2)] = op.estimate.selectivity;
-  row[static_cast<size_t>(off + 3)] = Log1pSafe(op.estimate.avg_row_size);
-  row[static_cast<size_t>(off + 4)] = Log1pSafe(partition_count);
-  row[static_cast<size_t>(off + 5)] = Log1pSafe(op.estimate.cost);
+  row[off + 0] = Log1pSafe(op.estimate.input_rows);
+  row[off + 1] = Log1pSafe(op.estimate.output_rows);
+  row[off + 2] = op.estimate.selectivity;
+  row[off + 3] = Log1pSafe(op.estimate.avg_row_size);
+  row[off + 4] = Log1pSafe(partition_count);
+  row[off + 5] = Log1pSafe(op.estimate.cost);
   off += kOpCt2Dim;
   // CT3: IO-related properties.
-  row[static_cast<size_t>(off)] =
-      op.location == DataLocation::kNetwork ? 1.0 : 0.0;
-  row[static_cast<size_t>(off + 1 + static_cast<int>(op.shuffle))] = 1.0;
+  row[off] = op.location == DataLocation::kNetwork ? 1.0 : 0.0;
+  row[off + 1 + static_cast<int>(op.shuffle)] = 1.0;
   off += kOpCt3Dim;
   // Customized features, zero-padded to the uniform width.
-  for (int i = 0; i < kNumCustomFeatures; ++i) {
-    row[static_cast<size_t>(off + i)] = op.custom[i];
-  }
+  for (int i = 0; i < kNumCustomFeatures; ++i) row[off + i] = op.custom[i];
   off += kNumCustomFeatures;
   // AIM augmentation.
   if (mask.aim != AimMode::kOff) {
-    row[static_cast<size_t>(off + 0)] = Log1pSafe(aim.input_rows);
-    row[static_cast<size_t>(off + 1)] = Log1pSafe(aim.output_rows);
-    row[static_cast<size_t>(off + 2)] = Log1pSafe(aim.cost);
+    row[off + 0] = Log1pSafe(aim.input_rows);
+    row[off + 1] = Log1pSafe(aim.output_rows);
+    row[off + 2] = Log1pSafe(aim.cost);
   }
-  return row;
 }
 
 Vec Ch2FeatureVector(const Stage& stage, int instance_idx,
                      const ChannelMask& mask) {
-  Vec out(static_cast<size_t>(kCh2Dim), 0.0);
-  if (!mask.ch2) return out;
+  Vec out(static_cast<size_t>(kCh2Dim));
+  Ch2FeatureRowInto(stage, instance_idx, mask, out.data());
+  return out;
+}
+
+void Ch2FeatureRowInto(const Stage& stage, int instance_idx,
+                       const ChannelMask& mask, double* out) {
+  for (int i = 0; i < kCh2Dim; ++i) out[i] = 0.0;
+  if (!mask.ch2) return;
   const InstanceMeta& meta =
       stage.instances[static_cast<size_t>(instance_idx)];
   out[0] = Log1pSafe(meta.input_rows);
   out[1] = Log1pSafe(meta.input_bytes);
   // Skew ratio: this instance's share relative to a uniform partition.
   out[2] = meta.input_fraction * stage.instance_count();
-  return out;
 }
 
 Vec ContextFeatureVector(const ResourceConfig& theta, const SystemState& state,

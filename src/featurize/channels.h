@@ -45,10 +45,18 @@ constexpr int kInstanceFeatureDim = kCh2Dim + kContextDim;
 /// One operator's feature row (Channel 1 + AIM), honoring the mask.
 Vec OperatorFeatureRow(const Operator& op, int partition_count,
                        const AimEntry& aim, const ChannelMask& mask);
+/// Same row written into a caller buffer of kOpFeatureDim doubles (fully
+/// overwritten) — the allocation-free form batched embedding uses.
+void OperatorFeatureRowInto(const Operator& op, int partition_count,
+                            const AimEntry& aim, const ChannelMask& mask,
+                            double* row);
 
 /// Channel 2 features of one instance.
 Vec Ch2FeatureVector(const Stage& stage, int instance_idx,
                      const ChannelMask& mask);
+/// Same features written into a caller buffer of kCh2Dim doubles.
+void Ch2FeatureRowInto(const Stage& stage, int instance_idx,
+                       const ChannelMask& mask, double* out);
 
 /// Channels 3-5 (resource plan, discretized machine state, hardware type).
 Vec ContextFeatureVector(const ResourceConfig& theta, const SystemState& state,

@@ -4,18 +4,30 @@
 
 namespace fgro {
 
-Result<std::vector<Vec>> Featurizer::OperatorRows(const Stage& stage,
-                                                  int instance_idx) const {
+Status Featurizer::OperatorRowsInto(const Stage& stage, int instance_idx,
+                                    double* rows) const {
   FGRO_RETURN_IF_ERROR(ValidateInstanceMeta(stage, instance_idx));
   Result<std::vector<AimEntry>> aim =
       ComputeAim(stage, instance_idx, mask_.ch1 ? mask_.aim : AimMode::kOff);
   if (!aim.ok()) return aim.status();
+  for (const Operator& op : stage.operators) {
+    OperatorFeatureRowInto(op, stage.instance_count(),
+                           aim.value()[static_cast<size_t>(op.id)], mask_,
+                           rows);
+    rows += kOpFeatureDim;
+  }
+  return Status::OK();
+}
+
+Result<std::vector<Vec>> Featurizer::OperatorRows(const Stage& stage,
+                                                  int instance_idx) const {
+  Vec flat(stage.operators.size() * static_cast<size_t>(kOpFeatureDim));
+  FGRO_RETURN_IF_ERROR(OperatorRowsInto(stage, instance_idx, flat.data()));
   std::vector<Vec> rows;
   rows.reserve(stage.operators.size());
-  for (const Operator& op : stage.operators) {
-    rows.push_back(OperatorFeatureRow(
-        op, stage.instance_count(),
-        aim.value()[static_cast<size_t>(op.id)], mask_));
+  for (size_t i = 0; i < stage.operators.size(); ++i) {
+    const auto* row = flat.data() + i * static_cast<size_t>(kOpFeatureDim);
+    rows.emplace_back(row, row + kOpFeatureDim);
   }
   return rows;
 }

@@ -28,6 +28,12 @@ class Featurizer {
   Result<PlanGraph> BuildPlanTree(const Stage& stage, int instance_idx,
                                   int* root) const;
 
+  /// The Channel 1 (+AIM) operator rows of one instance, written into
+  /// `rows` (stage.operators.size() x kOpFeatureDim doubles, row-major, in
+  /// operator order) — the allocation-light form batched embedding uses.
+  Status OperatorRowsInto(const Stage& stage, int instance_idx,
+                          double* rows) const;
+
   Vec Ch2Features(const Stage& stage, int instance_idx) const {
     return Ch2FeatureVector(stage, instance_idx, mask_);
   }

@@ -56,10 +56,16 @@ void Standardizer::Fit(const std::vector<const Vec*>& rows) {
 void Standardizer::Apply(Vec* row) const {
   if (!fitted()) return;
   FGRO_CHECK(row->size() == mean.size());
-  for (size_t i = 0; i < row->size(); ++i) {
+  ApplyPrefix(row->data(), static_cast<int>(row->size()));
+}
+
+void Standardizer::ApplyPrefix(double* row, int count) const {
+  if (!fitted()) return;
+  FGRO_CHECK(static_cast<size_t>(count) <= mean.size());
+  for (size_t i = 0; i < static_cast<size_t>(count); ++i) {
     // Clamp to a wide band: values far outside the training distribution
     // carry no usable signal and would destabilize the network.
-    (*row)[i] = std::clamp(((*row)[i] - mean[i]) * inv_std[i], -10.0, 10.0);
+    row[i] = std::clamp((row[i] - mean[i]) * inv_std[i], -10.0, 10.0);
   }
 }
 
@@ -473,28 +479,92 @@ void LatencyModel::set_obs(const obs::Obs& obs) {
 
 Result<LatencyModel::EmbeddedInstance> LatencyModel::Embed(
     const Stage& stage, int instance_idx) const {
+  // Per-thread scratch keeps single embeddings allocation-free once warm
+  // (RAA and IPA's scalar path call this per representative).
+  static thread_local EmbedScratch scratch;
   EmbeddedInstance out;
-  out.stage = &stage;
-  out.instance_idx = instance_idx;
-  if (options_.kind == ModelKind::kMciGtn ||
-      options_.kind == ModelKind::kMciTlstm) {
-    PreparedSample sample;
-    // theta/state/hw are placeholders: only the plan graph matters here.
-    FGRO_RETURN_IF_ERROR(PrepareForInference(
-        stage, instance_idx, ResourceConfig{}, SystemState{}, 0, &sample));
-    if (options_.kind == ModelKind::kMciGtn) {
-      GraphEmbedder::Cache cache;
-      out.plan_embedding = gnn_.Forward(sample.graph, &cache);
-    } else {
-      TreeLstm::Cache cache;
-      out.plan_embedding =
-          tlstm_.Forward(sample.graph, sample.tree_root, &cache);
-    }
-    // Standardized Channel-2 slice (first kCh2Dim entries of inst features).
-    out.ch2_features.assign(sample.inst_features.begin(),
-                            sample.inst_features.begin() + kCh2Dim);
-  }
+  FGRO_RETURN_IF_ERROR(
+      EmbedBatch(stage, std::span<const int>(&instance_idx, 1), &out,
+                 &scratch));
   return out;
+}
+
+Status LatencyModel::EmbedBatch(const Stage& stage,
+                                std::span<const int> instance_ids,
+                                EmbeddedInstance* out,
+                                EmbedScratch* scratch) const {
+  const int count = static_cast<int>(instance_ids.size());
+  for (int b = 0; b < count; ++b) {
+    out[b].stage = &stage;
+    out[b].instance_idx = instance_ids[static_cast<size_t>(b)];
+  }
+  if (options_.kind != ModelKind::kMciGtn &&
+      options_.kind != ModelKind::kMciTlstm) {
+    for (int b = 0; b < count; ++b) {
+      out[b].plan_embedding.clear();
+      out[b].ch2_features.clear();
+    }
+    return Status::OK();
+  }
+  if (count == 0) return Status::OK();
+  const Featurizer& fz = options_.featurizer;
+  // Standardized Channel-2 slice: the leading kCh2Dim entries of the
+  // instance features, standardized by the head of the instance
+  // standardizer. (The context channels never enter an embedding.)
+  auto ch2_slice = [&](EmbeddedInstance* e) {
+    double ch2[kCh2Dim];
+    Ch2FeatureRowInto(stage, e->instance_idx, fz.mask(), ch2);
+    inst_standardizer_.ApplyPrefix(ch2, kCh2Dim);
+    e->ch2_features.assign(ch2, ch2 + kCh2Dim);
+  };
+
+  if (options_.kind == ModelKind::kMciTlstm) {
+    for (int b = 0; b < count; ++b) {
+      int root = 0;
+      Result<PlanGraph> tree = fz.BuildPlanTree(stage, out[b].instance_idx,
+                                                &root);
+      if (!tree.ok()) return tree.status();
+      for (Vec& row : tree.value().node_features) {
+        op_standardizer_.Apply(&row);
+      }
+      TreeLstm::Cache cache;
+      out[b].plan_embedding = tlstm_.Forward(tree.value(), root, &cache);
+      ch2_slice(&out[b]);
+    }
+    return Status::OK();
+  }
+
+  // GTN: the stage's DAG is shared by all its instances, so the topology is
+  // indexed once; each chunk stacks its instances' standardized operator
+  // rows and runs the embedder once.
+  const int n = static_cast<int>(stage.operators.size());
+  scratch->topology.Assign(n, [&](int i) -> const std::vector<int>& {
+    return stage.operators[static_cast<size_t>(i)].children;
+  });
+  // Whole 16-instance groups when they fit, so a chunk's rows fill the
+  // GEMM's 16-row panels exactly.
+  int per_chunk = std::max(1, kEmbedChunkRows / std::max(1, n));
+  if (per_chunk >= 16) per_chunk -= per_chunk % 16;
+  for (int begin = 0; begin < count; begin += per_chunk) {
+    const int chunk = std::min(per_chunk, count - begin);
+    scratch->nodes.Resize(chunk * n, kOpFeatureDim);
+    for (int b = 0; b < chunk; ++b) {
+      FGRO_RETURN_IF_ERROR(fz.OperatorRowsInto(
+          stage, out[begin + b].instance_idx, scratch->nodes.Row(b * n)));
+    }
+    for (int r = 0; r < scratch->nodes.rows; ++r) {
+      op_standardizer_.ApplyPrefix(scratch->nodes.Row(r), kOpFeatureDim);
+    }
+    gnn_.ForwardBatch(scratch->nodes, scratch->topology, &scratch->embeddings,
+                      &scratch->forward);
+    for (int b = 0; b < chunk; ++b) {
+      EmbeddedInstance& e = out[begin + b];
+      const double* emb = scratch->embeddings.Row(b);
+      e.plan_embedding.assign(emb, emb + scratch->embeddings.cols);
+      ch2_slice(&e);
+    }
+  }
+  return Status::OK();
 }
 
 double LatencyModel::PredictFromEmbedding(const EmbeddedInstance& embedded,

@@ -2,6 +2,7 @@
 #define FGRO_MODEL_LATENCY_MODEL_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -36,6 +37,9 @@ struct Standardizer {
   Vec inv_std;
   void Fit(const std::vector<const Vec*>& rows);
   void Apply(Vec* row) const;
+  /// Standardizes dims [0, count) of `row` in place (no-op before Fit) —
+  /// Apply's per-element formula on a raw buffer or a leading slice.
+  void ApplyPrefix(double* row, int count) const;
   bool fitted() const { return !mean.empty(); }
 };
 
@@ -55,8 +59,9 @@ struct TrainOptions {
 ///
 /// Thread-safety: Train() is exclusive; after training, Predict()/Embed()
 /// are const, touch only the frozen weights, and keep all inference scratch
-/// (feature buffers, MLP activation cache) local to the call, so a trained
-/// model may be shared read-only by any number of RO-service workers.
+/// (feature buffers, MLP activation cache) local to the call or the calling
+/// thread, so a trained model may be shared read-only by any number of
+/// RO-service workers.
 class LatencyModel {
  public:
   struct Options {
@@ -107,6 +112,32 @@ class LatencyModel {
     int instance_idx = 0;
   };
   Result<EmbeddedInstance> Embed(const Stage& stage, int instance_idx) const;
+
+  /// Caller-owned scratch for EmbedBatch: the stage's DAG topology, one
+  /// chunk's stacked operator rows and the embedder's activations. Reused
+  /// across calls it stops allocating once warm; at most kEmbedChunkRows
+  /// node rows are live, so it stays a few tens of KB whatever the batch
+  /// size. Not shareable across concurrent calls.
+  struct EmbedScratch {
+    GraphTopology topology;
+    Mat nodes;
+    Mat embeddings;
+    GraphEmbedder::BatchScratch forward;
+  };
+  /// Node rows per GTN forward chunk (the instances of a chunk are stacked
+  /// into one matrix, so each Linear runs once per chunk).
+  static constexpr int kEmbedChunkRows = 256;
+
+  /// Embeds instance_ids[b] of `stage` into out[b] for every b (`out` holds
+  /// instance_ids.size() entries; ids may repeat and come in any order).
+  /// Bit-identical to Embed per instance — Embed is EmbedBatch of one. For
+  /// the GTN the stage's topology is indexed once per call and the
+  /// instances run through GraphEmbedder::ForwardBatch in chunks of at most
+  /// kEmbedChunkRows node rows; TLSTM embeds per instance; QPPNet-style
+  /// kinds only record the identity (their prediction re-runs the full
+  /// model). On error `out` is partially written.
+  Status EmbedBatch(const Stage& stage, std::span<const int> instance_ids,
+                    EmbeddedInstance* out, EmbedScratch* scratch) const;
   double PredictFromEmbedding(const EmbeddedInstance& embedded,
                               const ResourceConfig& theta,
                               const SystemState& state,
@@ -207,6 +238,10 @@ class LatencyModel {
   void set_obs(const obs::Obs& obs);
 
  private:
+  // The batched-embedding tests compare EmbedBatch against the training
+  // path (PrepareForInference + the cached Forward) as their oracle.
+  friend class LatencyModelTestPeer;
+
   struct PreparedSample {
     PlanGraph graph;
     int tree_root = 0;

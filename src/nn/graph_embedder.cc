@@ -4,6 +4,27 @@
 
 namespace fgro {
 
+void GraphTopology::IndexParents() {
+  const int n = nodes();
+  // Counting pass, then fill in ascending parent order — the order Forward's
+  // reverse-adjacency loop appends in (duplicates included).
+  parent_begin.assign(static_cast<size_t>(n) + 1, 0);
+  for (int c : child_ids) parent_begin[static_cast<size_t>(c) + 1]++;
+  for (int i = 0; i < n; ++i) {
+    parent_begin[static_cast<size_t>(i) + 1] +=
+        parent_begin[static_cast<size_t>(i)];
+  }
+  parent_ids.resize(child_ids.size());
+  fill_.assign(parent_begin.begin(), parent_begin.end() - 1);
+  for (int i = 0; i < n; ++i) {
+    for (int e = child_begin[static_cast<size_t>(i)];
+         e < child_begin[static_cast<size_t>(i) + 1]; ++e) {
+      const int c = child_ids[static_cast<size_t>(e)];
+      parent_ids[static_cast<size_t>(fill_[static_cast<size_t>(c)]++)] = i;
+    }
+  }
+}
+
 GraphEmbedder::GraphEmbedder(int in_dim, int hidden_dim, int num_layers,
                              Rng* rng)
     : hidden_dim_(hidden_dim), input_(in_dim, hidden_dim, rng) {
@@ -84,6 +105,80 @@ Vec GraphEmbedder::Forward(const PlanGraph& graph, Cache* cache) const {
   }
   for (double& x : emb) x /= static_cast<double>(n);
   return emb;
+}
+
+namespace {
+
+/// out[k] = (0 + h[ids[0]][k] + h[ids[1]][k] + ...) / |ids| in list order,
+/// zeros for an empty list — Forward's mean_of, written into a matrix row.
+void MeanOfRows(const Mat& h, int row_base, const int* ids, int count,
+                double* out) {
+  const int d = h.cols;
+  for (int k = 0; k < d; ++k) out[k] = 0.0;
+  if (count == 0) return;
+  for (int e = 0; e < count; ++e) {
+    const double* hj = h.Row(row_base + ids[e]);
+    for (int k = 0; k < d; ++k) out[k] += hj[k];
+  }
+  for (int k = 0; k < d; ++k) out[k] /= static_cast<double>(count);
+}
+
+}  // namespace
+
+void GraphEmbedder::ForwardBatch(const Mat& nodes,
+                                 const GraphTopology& topology,
+                                 Mat* embeddings,
+                                 BatchScratch* scratch) const {
+  const int n = topology.nodes();
+  FGRO_CHECK(n > 0 && nodes.rows % n == 0) << nodes.rows << " rows, " << n
+                                           << " nodes per graph";
+  const int graphs = nodes.rows / n;
+  const int d = hidden_dim_;
+  Mat& h = scratch->h;
+  input_.ForwardBatch(nodes, &h);
+  ReluInPlace(&h);
+
+  for (const MessageLayer& layer : layers_) {
+    scratch->child_mean.Resize(nodes.rows, d);
+    scratch->parent_mean.Resize(nodes.rows, d);
+    for (int g = 0; g < graphs; ++g) {
+      const int base = g * n;
+      for (int i = 0; i < n; ++i) {
+        const int cb = topology.child_begin[static_cast<size_t>(i)];
+        const int pb = topology.parent_begin[static_cast<size_t>(i)];
+        MeanOfRows(h, base, topology.child_ids.data() + cb,
+                   topology.child_begin[static_cast<size_t>(i) + 1] - cb,
+                   scratch->child_mean.Row(base + i));
+        MeanOfRows(h, base, topology.parent_ids.data() + pb,
+                   topology.parent_begin[static_cast<size_t>(i) + 1] - pb,
+                   scratch->parent_mean.Row(base + i));
+      }
+    }
+    layer.self.ForwardBatch(h, &scratch->self_out);
+    layer.child.ForwardBatch(scratch->child_mean, &scratch->child_out);
+    layer.parent.ForwardBatch(scratch->parent_mean, &scratch->parent_out);
+    // h is fully consumed above, so the next states overwrite it in place:
+    // pre = self + (child + parent), then ReLU, as in Forward.
+    const double* self_out = scratch->self_out.data.data();
+    const double* child_out = scratch->child_out.data.data();
+    const double* parent_out = scratch->parent_out.data.data();
+    for (size_t e = 0; e < h.data.size(); ++e) {
+      const double pre = self_out[e] + (child_out[e] + parent_out[e]);
+      h.data[e] = pre > 0.0 ? pre : 0.0;
+    }
+  }
+
+  // Mean-pool readout per graph.
+  embeddings->Resize(graphs, d);
+  for (int g = 0; g < graphs; ++g) {
+    double* emb = embeddings->Row(g);
+    for (int k = 0; k < d; ++k) emb[k] = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double* hi = h.Row(g * n + i);
+      for (int k = 0; k < d; ++k) emb[k] += hi[k];
+    }
+    for (int k = 0; k < d; ++k) emb[k] /= static_cast<double>(n);
+  }
 }
 
 void GraphEmbedder::Backward(Cache& cache, const Vec& dembedding) {

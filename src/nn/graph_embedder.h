@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nn/linear.h"
+#include "nn/mat.h"
 
 namespace fgro {
 
@@ -17,6 +18,41 @@ struct PlanGraph {
   std::vector<int> node_types;
 
   int size() const { return static_cast<int>(node_features.size()); }
+};
+
+/// The shared DAG of a stacked batch of graphs (every graph of one batch has
+/// the same nodes and edges — e.g. all instances of one stage) as CSR
+/// adjacency: child lists in the order given, parent lists in ascending
+/// node id order. Those are exactly the orders GraphEmbedder::Forward
+/// accumulates its child and parent means in.
+struct GraphTopology {
+  std::vector<int> child_begin;   // nodes() + 1 offsets into child_ids
+  std::vector<int> child_ids;
+  std::vector<int> parent_begin;  // nodes() + 1 offsets into parent_ids
+  std::vector<int> parent_ids;
+
+  int nodes() const {
+    return child_begin.empty() ? 0 : static_cast<int>(child_begin.size()) - 1;
+  }
+
+  /// Sets `nodes` child lists, children_of(i) being node i's list (any
+  /// range of ints), and indexes the parents. Capacity is reused.
+  template <typename ChildrenOf>
+  void Assign(int nodes, ChildrenOf&& children_of) {
+    child_begin.assign(1, 0);
+    child_ids.clear();
+    for (int i = 0; i < nodes; ++i) {
+      const auto& kids = children_of(i);
+      child_ids.insert(child_ids.end(), kids.begin(), kids.end());
+      child_begin.push_back(static_cast<int>(child_ids.size()));
+    }
+    IndexParents();
+  }
+
+ private:
+  void IndexParents();
+
+  std::vector<int> fill_;  // IndexParents' per-node write cursors
 };
 
 /// The GTN stand-in: a message-passing network over the operator DAG. Each
@@ -39,6 +75,26 @@ class GraphEmbedder {
   };
 
   Vec Forward(const PlanGraph& graph, Cache* cache) const;
+
+  /// Caller-owned activations of ForwardBatch; reused across calls it stops
+  /// allocating once warm. Not shareable across concurrent calls.
+  struct BatchScratch {
+    Mat h;            // node states, updated in place layer by layer
+    Mat child_mean;
+    Mat parent_mean;
+    Mat self_out;
+    Mat child_out;
+    Mat parent_out;
+  };
+
+  /// Inference-only forward over a stack of graphs sharing `topology`:
+  /// row g * n + i of `nodes` is node i of graph g (n = topology.nodes()),
+  /// and row g of `embeddings` (resized) receives graph g's embedding. Each
+  /// Linear runs once over all node rows (Linear::ForwardBatch); means,
+  /// the residual sum and the readout keep Forward's per-element operation
+  /// order, so every embedding is bit-identical to Forward's.
+  void ForwardBatch(const Mat& nodes, const GraphTopology& topology,
+                    Mat* embeddings, BatchScratch* scratch) const;
   /// Accumulates parameter gradients given dL/d(embedding).
   void Backward(Cache& cache, const Vec& dembedding);
 

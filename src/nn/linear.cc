@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -102,15 +103,29 @@ void Linear::ForwardBatch(const Mat& x, Mat* y) const {
   // (panel[c * 16 + lane] = row `i + lane`, feature c) so GemmPanelKernel
   // can run 16 independent accumulator chains in SIMD lanes. Bit-identity
   // constrains each chain's order, not the chains' interleaving, so the
-  // lanes are legal; the remainder rows fall through to the blocks below.
+  // lanes are legal. A remainder of kMinPanelRows or more rows runs as one
+  // zero-padded panel whose spare lanes write to a sink (a lane's chain
+  // never reads another lane); shorter remainders fall through to the
+  // blocks below.
   constexpr int kLanes = 16;
+  constexpr int kMinPanelRows = 6;
   static thread_local std::vector<double> panel;
-  if (x.rows >= kLanes) {
+  static thread_local std::vector<double> sink;
+  if (x.rows >= kMinPanelRows) {
     panel.resize(static_cast<size_t>(kLanes) * static_cast<size_t>(in));
     double* pd = panel.data();
-    for (; i + kLanes <= x.rows; i += kLanes) {
+    while (x.rows - i >= kMinPanelRows) {
+      const int rows = std::min(kLanes, x.rows - i);
+      if (rows < kLanes) {
+        std::fill(panel.begin(), panel.end(), 0.0);
+        sink.resize(static_cast<size_t>(out));
+      }
       double* y_rows[kLanes];
       for (int lane = 0; lane < kLanes; ++lane) {
+        if (lane >= rows) {
+          y_rows[lane] = sink.data();
+          continue;
+        }
         const double* xr = x.Row(i + lane);
         for (int c = 0; c < in; ++c) {
           pd[static_cast<size_t>(c) * kLanes + static_cast<size_t>(lane)] =
@@ -119,6 +134,7 @@ void Linear::ForwardBatch(const Mat& x, Mat* y) const {
         y_rows[lane] = y->Row(i + lane);
       }
       GemmPanelKernel(pd, w, b, in, out, y_rows);
+      i += rows;
     }
   }
 #endif

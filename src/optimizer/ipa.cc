@@ -45,32 +45,13 @@ bool BuildBplMatrix(const SchedulingContext& context,
     return true;
   }
 
-  // Batched path. Embed every row first — the per-instance GNN/TLSTM pass
-  // dominates and rows are independent, so it fans across the worker pool;
-  // each slot is written by exactly one body and read only after the fan
-  // completes, which keeps the result byte-identical at any thread count.
-  std::vector<LatencyModel::EmbeddedInstance> embedded(
-      static_cast<size_t>(m));
-  std::atomic<bool> failed{false};
-  std::atomic<bool> expired{false};
-  ParallelFor(context.worker_pool, m, [&](int i) {
-    if (failed.load(std::memory_order_relaxed) ||
-        expired.load(std::memory_order_relaxed)) {
-      return;
-    }
-    if (context.deadline.expired()) {
-      expired.store(true, std::memory_order_relaxed);
-      return;
-    }
-    Result<LatencyModel::EmbeddedInstance> r =
-        model.Embed(stage, instance_rows[static_cast<size_t>(i)]);
-    if (!r.ok()) {
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    embedded[static_cast<size_t>(i)] = r.value();
-  });
-  if (failed.load() || expired.load()) return false;
+  // Batched path. Embed every row first — the GTN pass dominates and rows
+  // are independent, so the chunks fan across the worker pool.
+  std::vector<LatencyModel::EmbeddedInstance> embedded;
+  if (!EmbedInstances(context, instance_rows, /*check_deadline=*/true,
+                      &embedded)) {
+    return false;
+  }
 
   // The whole matrix as one flat batch: PredictBatch chunks internally, so
   // this never materializes m*n feature rows at once.
@@ -94,6 +75,38 @@ bool BuildBplMatrix(const SchedulingContext& context,
               (*L)[static_cast<size_t>(i)].begin());
   }
   return true;
+}
+
+bool EmbedInstances(const SchedulingContext& context,
+                    std::span<const int> instance_ids, bool check_deadline,
+                    std::vector<LatencyModel::EmbeddedInstance>* out) {
+  const int m = static_cast<int>(instance_ids.size());
+  out->resize(static_cast<size_t>(m));
+  if (m == 0) return true;
+  // Four chunks per thread (the caller is one) balance the dynamic claim;
+  // EmbedBatch bounds each chunk's scratch by node rows, not instances.
+  const int threads =
+      context.worker_pool != nullptr ? 1 + context.worker_pool->size() : 0;
+  const int chunk = threads == 0 ? m : (m + 4 * threads - 1) / (4 * threads);
+  const int chunks = (m + chunk - 1) / chunk;
+  std::atomic<bool> failed{false};
+  ParallelFor(context.worker_pool, chunks, [&](int c) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    if (check_deadline && context.deadline.expired()) {
+      failed.store(true, std::memory_order_relaxed);
+      return;
+    }
+    const int begin = c * chunk;
+    const int size = std::min(chunk, m - begin);
+    LatencyModel::EmbedScratch scratch;
+    if (!context.model
+             ->EmbedBatch(*context.stage, instance_ids.subspan(begin, size),
+                          out->data() + begin, &scratch)
+             .ok()) {
+      failed.store(true, std::memory_order_relaxed);
+    }
+  });
+  return !failed.load();
 }
 
 std::vector<int> IpaGreedyMatch(const std::vector<std::vector<double>>& L,

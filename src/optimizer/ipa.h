@@ -1,6 +1,8 @@
 #ifndef FGRO_OPTIMIZER_IPA_H_
 #define FGRO_OPTIMIZER_IPA_H_
 
+#include <span>
+
 #include "optimizer/scheduler_types.h"
 
 namespace fgro {
@@ -24,9 +26,9 @@ std::vector<int> IpaGreedyMatch(const std::vector<std::vector<double>>& L,
 /// Shared by IPA and its clustered variant: fills (*L)[i][j] with the
 /// predicted latency of stage instance instance_rows[i] on machine
 /// machine_cols[j] (a cluster machine id) under theta0. In batched mode
-/// (context.batched_inference) each row is embedded once — fanning across
-/// context.worker_pool when set — and the whole matrix becomes one
-/// PredictBatch call (chunked internally, memoized via context.memo);
+/// (context.batched_inference) the rows are embedded by EmbedInstances
+/// and the whole matrix becomes one PredictBatch call (chunked internally,
+/// memoized via context.memo);
 /// otherwise this runs the original scalar PredictFromEmbedding loops.
 /// Both modes produce bit-identical matrices. Returns false when the
 /// deadline expired or an embedding failed, in which case *L is
@@ -35,6 +37,18 @@ bool BuildBplMatrix(const SchedulingContext& context,
                     const std::vector<int>& instance_rows,
                     const std::vector<int>& machine_cols,
                     std::vector<std::vector<double>>* L);
+
+/// Embeds instance_ids[i] of context.stage into (*out)[i] (resized) with
+/// LatencyModel::EmbedBatch. Without context.worker_pool that is one call;
+/// with it the ids are cut into a few chunks per thread, fanned over the
+/// pool with one scratch per chunk. Each slot is written by exactly one
+/// chunk and an embedding does not depend on its chunk, so the result is
+/// byte-identical at any thread count. With `check_deadline` a chunk first
+/// checks context.deadline. Returns false when the deadline expired or an
+/// embedding failed, in which case *out is unspecified.
+bool EmbedInstances(const SchedulingContext& context,
+                    std::span<const int> instance_ids, bool check_deadline,
+                    std::vector<LatencyModel::EmbeddedInstance>* out);
 
 /// Empirically checks Theorem 5.1's column-order assumption on a latency
 /// matrix: samples instance pairs and machines and returns the fraction of

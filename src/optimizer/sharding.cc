@@ -1,16 +1,14 @@
 #include "optimizer/sharding.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <numeric>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "hbo/hbo.h"
-#include "moo/config_space.h"
+#include "optimizer/ipa.h"
 
 namespace fgro {
 namespace {
@@ -178,46 +176,64 @@ int RefineMergedDecision(const SchedulingContext& context,
   const int alpha =
       ResolveAlpha(context.alpha, m, static_cast<int>(candidates.size()));
 
-  // Leftover capacity under the whole-fleet view, minus what the merged
-  // decision already booked — identical discipline to the merge rescue, so
-  // refinement can never over-book either.
+  // What the merged decision has booked per machine: the instance count
+  // for the 2-alpha diversity cap, and the summed theta cores and memory,
+  // which every move and re-tune must keep within the machine's free
+  // capacity (the merged decision's moved instance carries its RAA theta,
+  // not theta0, so an instance count alone can over-book).
   std::vector<int> used(static_cast<size_t>(cluster.size()), 0);
-  for (int id : decision->machine_of_instance) {
-    if (id >= 0) used[static_cast<size_t>(id)]++;
+  std::vector<double> booked_cores(static_cast<size_t>(cluster.size()), 0.0);
+  std::vector<double> booked_memory(static_cast<size_t>(cluster.size()), 0.0);
+  for (int i = 0; i < m; ++i) {
+    const int id = decision->machine_of_instance[static_cast<size_t>(i)];
+    if (id < 0) continue;
+    const ResourceConfig& t =
+        decision->theta_of_instance[static_cast<size_t>(i)];
+    used[static_cast<size_t>(id)]++;
+    booked_cores[static_cast<size_t>(id)] += t.cores;
+    booked_memory[static_cast<size_t>(id)] += t.memory_gb;
   }
+  // Whether `t` fits on machine `id` once `released` (the moving
+  // instance's current theta there, or nothing) is given back.
+  auto fits = [&](int id, const ResourceConfig& t,
+                  const ResourceConfig& released) {
+    const Machine& machine = cluster.machine(id);
+    return booked_cores[static_cast<size_t>(id)] - released.cores + t.cores <=
+               machine.available_cores() + 1e-9 &&
+           booked_memory[static_cast<size_t>(id)] - released.memory_gb +
+                   t.memory_gb <=
+               machine.available_memory_gb() + 1e-9;
+  };
+  const ResourceConfig kNothing{0.0, 0.0};
 
-  // Embed once per instance (fanned across the pool like BuildBplMatrix's
-  // batched path), then one batched sweep for every instance's latency
+  // Embed the whole stage (batched, fanned across the pool like
+  // BuildBplMatrix), then one batched sweep for every instance's latency
   // under its current placement.
-  std::vector<LatencyModel::EmbeddedInstance> embedded(
-      static_cast<size_t>(m));
-  std::atomic<bool> failed{false};
-  ParallelFor(context.worker_pool, m, [&](int i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    Result<LatencyModel::EmbeddedInstance> r = model.Embed(stage, i);
-    if (!r.ok()) {
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    embedded[static_cast<size_t>(i)] = r.value();
-  });
-  if (failed.load()) return 0;
-
-  LatencyModel::BatchScratch scratch;
-  std::vector<double> current(static_cast<size_t>(m));
-  {
-    std::vector<LatencyModel::PredictionQuery> queries;
-    queries.reserve(static_cast<size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      const Machine& machine = cluster.machine(
-          decision->machine_of_instance[static_cast<size_t>(i)]);
-      queries.push_back(LatencyModel::PredictionQuery{
-          &embedded[static_cast<size_t>(i)],
-          {decision->theta_of_instance[static_cast<size_t>(i)],
-           machine.state(), machine.hardware().id}});
-    }
-    model.PredictBatch(queries, current.data(), &scratch, context.memo);
+  std::vector<int> all(static_cast<size_t>(m));
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<LatencyModel::EmbeddedInstance> embedded;
+  if (!EmbedInstances(context, all, /*check_deadline=*/false, &embedded)) {
+    return 0;
   }
+
+  // One buffer set for the whole pass; each step refills it.
+  LatencyModel::BatchScratch scratch;
+  std::vector<LatencyModel::PredictionQuery> queries;
+  std::vector<int> targets;
+  std::vector<double> predicted;
+  std::vector<ResourceConfig> grid;
+  queries.reserve(std::max(static_cast<size_t>(m), candidates.size()));
+  targets.reserve(candidates.size());
+  std::vector<double> current(static_cast<size_t>(m));
+  for (int i = 0; i < m; ++i) {
+    const Machine& machine = cluster.machine(
+        decision->machine_of_instance[static_cast<size_t>(i)]);
+    queries.push_back(LatencyModel::PredictionQuery{
+        &embedded[static_cast<size_t>(i)],
+        {decision->theta_of_instance[static_cast<size_t>(i)], machine.state(),
+         machine.hardware().id}});
+  }
+  model.PredictBatch(queries, current.data(), &scratch, context.memo);
 
   int moves = 0;
   std::vector<bool> visited(static_cast<size_t>(m), false);
@@ -237,21 +253,21 @@ int RefineMergedDecision(const SchedulingContext& context,
     visited[static_cast<size_t>(worst)] = true;
 
     const int from = decision->machine_of_instance[static_cast<size_t>(worst)];
-    const ResourceConfig& theta =
+    const ResourceConfig theta =
         decision->theta_of_instance[static_cast<size_t>(worst)];
-    std::vector<LatencyModel::PredictionQuery> queries;
-    std::vector<int> targets;
-    queries.reserve(candidates.size());
-    targets.reserve(candidates.size());
+    queries.clear();
+    targets.clear();
     for (int id : candidates) {
       if (id == from) continue;
       const Machine& machine = cluster.machine(id);
       // Twice the diversity cap (still physically capped): every shard
       // fills the globally best machines to alpha with its own instances,
       // so a strict-alpha check would leave the bottleneck nowhere to go.
-      // Only `budget` instances can ever use the headroom.
+      // Only `budget` instances can ever use the headroom. The instance's
+      // own theta must also fit in what the target has left.
       if (used[static_cast<size_t>(id)] >=
-          InstanceCapacity(machine, context.theta0, 2 * alpha)) {
+              InstanceCapacity(machine, context.theta0, 2 * alpha) ||
+          !fits(id, theta, kNothing)) {
         continue;
       }
       queries.push_back(LatencyModel::PredictionQuery{
@@ -262,7 +278,7 @@ int RefineMergedDecision(const SchedulingContext& context,
     int best_id = from;
     double best = worst_latency;
     if (!queries.empty()) {
-      std::vector<double> predicted(queries.size());
+      predicted.resize(queries.size());
       model.PredictBatch(queries, predicted.data(), &scratch, context.memo);
       for (size_t j = 0; j < targets.size(); ++j) {
         if (predicted[j] < best) {  // strict: ties keep the in-shard machine
@@ -274,7 +290,11 @@ int RefineMergedDecision(const SchedulingContext& context,
     bool improved = false;
     if (best_id != from) {
       used[static_cast<size_t>(from)]--;
+      booked_cores[static_cast<size_t>(from)] -= theta.cores;
+      booked_memory[static_cast<size_t>(from)] -= theta.memory_gb;
       used[static_cast<size_t>(best_id)]++;
+      booked_cores[static_cast<size_t>(best_id)] += theta.cores;
+      booked_memory[static_cast<size_t>(best_id)] += theta.memory_gb;
       decision->machine_of_instance[static_cast<size_t>(worst)] = best_id;
       current[static_cast<size_t>(worst)] = best;
       improved = true;
@@ -284,48 +304,52 @@ int RefineMergedDecision(const SchedulingContext& context,
     // RAA picks each group's tradeoff from a shard-local WUN frontier, and
     // the whole-stage max only cares about the few critical instances —
     // re-searching RAA's own grid for just those recovers most of the theta
-    // quality a shard-local frontier gives up. Mirrors raa.cc exactly: the
+    // quality a shard-local frontier gives up. Mirrors raa.cc: the
     // capacity-filtered catalog within the exploration window, fair share =
-    // the machine's post-move co-residency.
+    // the machine's post-move co-residency; on top of that a candidate must
+    // fit in what the machine's other residents left free.
     if (tune_theta) {
       const Machine& machine = cluster.machine(best_id);
       const double share = static_cast<double>(
           std::max(1, used[static_cast<size_t>(best_id)]));
-      std::vector<ResourceConfig> grid;
-      for (const ResourceConfig& t : FilterByCapacity(
-               Hbo::ResourcePlanCatalog(),
-               (machine.available_cores() + context.theta0.cores) / share,
-               (machine.available_memory_gb() + context.theta0.memory_gb) /
-                   share)) {
-        if (t.cores >= context.theta0.cores * kPlanExplorationLow &&
+      const double max_cores =
+          (machine.available_cores() + context.theta0.cores) / share;
+      const double max_memory =
+          (machine.available_memory_gb() + context.theta0.memory_gb) / share;
+      grid.clear();
+      for (const ResourceConfig& t : Hbo::ResourcePlanCatalog()) {
+        if (t.cores <= max_cores + 1e-9 && t.memory_gb <= max_memory + 1e-9 &&
+            t.cores >= context.theta0.cores * kPlanExplorationLow &&
             t.cores <= context.theta0.cores * kPlanExplorationHigh &&
             t.memory_gb >= context.theta0.memory_gb * kPlanExplorationLow &&
-            t.memory_gb <= context.theta0.memory_gb * kPlanExplorationHigh) {
+            t.memory_gb <= context.theta0.memory_gb * kPlanExplorationHigh &&
+            fits(best_id, t, theta)) {
           grid.push_back(t);
         }
       }
       if (!grid.empty()) {
-        std::vector<LatencyModel::PredictionQuery> theta_queries;
-        theta_queries.reserve(grid.size());
+        queries.clear();
         for (const ResourceConfig& t : grid) {
-          theta_queries.push_back(LatencyModel::PredictionQuery{
+          queries.push_back(LatencyModel::PredictionQuery{
               &embedded[static_cast<size_t>(worst)],
               {t, machine.state(), machine.hardware().id}});
         }
-        std::vector<double> theta_predicted(theta_queries.size());
-        model.PredictBatch(theta_queries, theta_predicted.data(), &scratch,
-                           context.memo);
+        predicted.resize(queries.size());
+        model.PredictBatch(queries, predicted.data(), &scratch, context.memo);
         int picked = -1;
         double theta_best = current[static_cast<size_t>(worst)];
-        for (size_t g = 0; g < theta_predicted.size(); ++g) {
-          if (theta_predicted[g] < theta_best) {  // strict: ties keep RAA's
-            theta_best = theta_predicted[g];
+        for (size_t g = 0; g < grid.size(); ++g) {
+          if (predicted[g] < theta_best) {  // strict: ties keep RAA's
+            theta_best = predicted[g];
             picked = static_cast<int>(g);
           }
         }
         if (picked >= 0) {
-          decision->theta_of_instance[static_cast<size_t>(worst)] =
-              grid[static_cast<size_t>(picked)];
+          const ResourceConfig& t = grid[static_cast<size_t>(picked)];
+          booked_cores[static_cast<size_t>(best_id)] += t.cores - theta.cores;
+          booked_memory[static_cast<size_t>(best_id)] +=
+              t.memory_gb - theta.memory_gb;
+          decision->theta_of_instance[static_cast<size_t>(worst)] = t;
           current[static_cast<size_t>(worst)] = theta_best;
           improved = true;
         }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -18,9 +20,43 @@
 #include "model/prediction_cache.h"
 #include "nn/mlp.h"
 #include "optimizer/ipa.h"
+#include "test_util.h"
+#include "trace/trace_collector.h"
 #include "trace/workload_gen.h"
 
 namespace fgro {
+
+/// The bit-identity oracle for batched embedding: the embedding as the
+/// training path computes it — PrepareForInference (full featurization with
+/// placeholder context) followed by the embedder's cached Forward.
+class LatencyModelTestPeer {
+ public:
+  static Result<LatencyModel::EmbeddedInstance> TrainingPathEmbed(
+      const LatencyModel& model, const Stage& stage, int instance_idx) {
+    LatencyModel::EmbeddedInstance out;
+    out.stage = &stage;
+    out.instance_idx = instance_idx;
+    if (model.kind() != ModelKind::kMciGtn &&
+        model.kind() != ModelKind::kMciTlstm) {
+      return out;
+    }
+    LatencyModel::PreparedSample sample;
+    FGRO_RETURN_IF_ERROR(model.PrepareForInference(
+        stage, instance_idx, ResourceConfig{}, SystemState{}, 0, &sample));
+    if (model.kind() == ModelKind::kMciGtn) {
+      GraphEmbedder::Cache cache;
+      out.plan_embedding = model.gnn_.Forward(sample.graph, &cache);
+    } else {
+      TreeLstm::Cache cache;
+      out.plan_embedding =
+          model.tlstm_.Forward(sample.graph, sample.tree_root, &cache);
+    }
+    out.ch2_features.assign(sample.inst_features.begin(),
+                            sample.inst_features.begin() + kCh2Dim);
+    return out;
+  }
+};
+
 namespace {
 
 Result<Workload> SmallWorkload() {
@@ -343,6 +379,114 @@ TEST(BplMatrixTest, BatchedParallelMatchesScalarSequential) {
                          "bpl scalar vs memoized");
     }
   }
+}
+
+bool SameBytes(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// EmbedBatch over `ids` must equal Embed and the training-path oracle per
+/// id, byte for byte.
+void ExpectEmbedBatchMatches(const LatencyModel& model, const Stage& stage,
+                             const std::vector<int>& ids,
+                             LatencyModel::EmbedScratch* scratch) {
+  std::vector<LatencyModel::EmbeddedInstance> batch(ids.size());
+  ASSERT_TRUE(model.EmbedBatch(stage, ids, batch.data(), scratch).ok());
+  for (size_t b = 0; b < ids.size(); ++b) {
+    Result<LatencyModel::EmbeddedInstance> single = model.Embed(stage, ids[b]);
+    Result<LatencyModel::EmbeddedInstance> oracle =
+        LatencyModelTestPeer::TrainingPathEmbed(model, stage, ids[b]);
+    ASSERT_TRUE(single.ok() && oracle.ok());
+    EXPECT_EQ(batch[b].stage, &stage);
+    EXPECT_EQ(batch[b].instance_idx, ids[b]);
+    EXPECT_TRUE(SameBytes(batch[b].plan_embedding, oracle->plan_embedding))
+        << ModelKindName(model.kind()) << " id " << ids[b] << " of "
+        << ids.size();
+    EXPECT_TRUE(SameBytes(batch[b].ch2_features, oracle->ch2_features));
+    EXPECT_TRUE(SameBytes(single->plan_embedding, oracle->plan_embedding));
+    EXPECT_TRUE(SameBytes(single->ch2_features, oracle->ch2_features));
+    if (model.kind() != ModelKind::kMciQppnet) {
+      EXPECT_FALSE(batch[b].plan_embedding.empty());
+    }
+  }
+}
+
+/// A one-operator stage (a scan writing straight out) with `m` instances.
+Stage MakeSingleNodeStage(int m) {
+  Stage stage = testing_util::MakeChainStage(m);
+  stage.operators.resize(1);
+  return stage;
+}
+
+TEST(EmbedBatchTest, MatchesEmbedAndTrainingPathBitForBit) {
+  // Trained models, so both standardizers are fitted and applied.
+  Result<Workload> workload = SmallWorkload();
+  ASSERT_TRUE(workload.ok());
+  TraceCollector collector(ClusterOptions{.num_machines = 16, .seed = 5}, 3);
+  Result<TraceDataset> dataset = collector.Collect(workload.value());
+  ASSERT_TRUE(dataset.ok());
+  std::vector<int> train(dataset->records.size());
+  std::iota(train.begin(), train.end(), 0);
+  TrainOptions train_options;
+  train_options.epochs = 1;
+  train_options.max_train_samples = 200;
+
+  const Stage* wide = &workload->jobs[0].stages[0];
+  for (const Job& job : workload->jobs) {
+    for (const Stage& stage : job.stages) {
+      if (stage.instance_count() > wide->instance_count()) wide = &stage;
+    }
+  }
+  const Stage join = testing_util::MakeJoinStage(5);
+  const Stage single = MakeSingleNodeStage(3);
+
+  for (ModelKind kind :
+       {ModelKind::kMciGtn, ModelKind::kMciTlstm, ModelKind::kMciQppnet}) {
+    LatencyModel::Options options;
+    options.kind = kind;
+    LatencyModel model(options);
+    ASSERT_TRUE(model.Train(dataset.value(), train, {}, train_options).ok());
+    LatencyModel::EmbedScratch scratch;  // reused across every call below
+
+    // Sizes around the 16-row GEMM panel, unsorted, with repeats.
+    Rng rng(300 + static_cast<uint64_t>(kind));
+    const int m = wide->instance_count();
+    for (int size : {0, 1, 15, 16, 17, 33}) {
+      std::vector<int> ids;
+      for (int b = 0; b < size; ++b) {
+        ids.push_back(static_cast<int>(rng.UniformInt(0, m - 1)));
+      }
+      if (size > 2) ids[1] = ids[0];
+      ExpectEmbedBatchMatches(model, *wide, ids, &scratch);
+    }
+    // Leaves without children and a sink without parents; a lone node.
+    ExpectEmbedBatchMatches(model, join, {4, 0, 3, 3, 1, 2}, &scratch);
+    ExpectEmbedBatchMatches(model, single, {2, 0, 1}, &scratch);
+
+    // An invalid id fails the whole batch closed (QPPNet kinds record the
+    // identity only and never featurize here).
+    if (kind != ModelKind::kMciQppnet) {
+      std::vector<LatencyModel::EmbeddedInstance> out(2);
+      const std::vector<int> bad = {0, m};
+      EXPECT_FALSE(model.EmbedBatch(*wide, bad, out.data(), &scratch).ok());
+      EXPECT_FALSE(model.Embed(*wide, -1).ok());
+    }
+  }
+}
+
+TEST(EmbedBatchTest, ChunkedStageMatchesEmbed) {
+  // More instances than one kEmbedChunkRows chunk holds, on an untrained
+  // GTN: the chunk seams must not move a bit.
+  const Stage stage = testing_util::MakeJoinStage(130);
+  ASSERT_GT(stage.instance_count() * stage.operator_count(),
+            LatencyModel::kEmbedChunkRows);
+  LatencyModel model(LatencyModel::Options{});
+  std::vector<int> ids(static_cast<size_t>(stage.instance_count()));
+  std::iota(ids.rbegin(), ids.rend(), 0);  // descending
+  LatencyModel::EmbedScratch scratch;
+  ExpectEmbedBatchMatches(model, stage, ids, &scratch);
 }
 
 TEST(MlpBatchTest, ForwardBatchMatchesForwardPerRow) {

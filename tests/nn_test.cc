@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
+#include "common/rng.h"
 #include "nn/adam.h"
 #include "nn/graph_embedder.h"
 #include "nn/linear.h"
@@ -115,22 +118,25 @@ TEST(LinearTest, ForwardBatchMatchesForwardPerRow) {
   Rng rng(21);
   Linear layer(5, 3, &rng);
   Rng data_rng(22);
-  // 10 rows: two full 4-row GEMM blocks plus a 2-row tail.
-  Mat x;
-  x.Resize(10, 5);
-  for (double& v : x.data) v = data_rng.Normal();
-  Mat y;
-  layer.ForwardBatch(x, &y);
-  ASSERT_EQ(y.rows, 10);
-  ASSERT_EQ(y.cols, 3);
-  for (int r = 0; r < x.rows; ++r) {
-    Vec row(x.Row(r), x.Row(r) + x.cols);
-    Vec expected = layer.Forward(row);
-    for (int c = 0; c < y.cols; ++c) {
-      // Exact: the blocked GEMM keeps each output element's accumulation
-      // order identical to the scalar path.
-      EXPECT_EQ(y.Row(r)[c], expected[static_cast<size_t>(c)])
-          << "row " << r << " col " << c;
+  // 1..40 rows: 4-row GEMM blocks and scalar tails (remainders under 6),
+  // zero-padded partial 16-row panels (remainders of 6..15), full panels.
+  for (int rows = 1; rows <= 40; ++rows) {
+    Mat x;
+    x.Resize(rows, 5);
+    for (double& v : x.data) v = data_rng.Normal();
+    Mat y;
+    layer.ForwardBatch(x, &y);
+    ASSERT_EQ(y.rows, rows);
+    ASSERT_EQ(y.cols, 3);
+    for (int r = 0; r < x.rows; ++r) {
+      Vec row(x.Row(r), x.Row(r) + x.cols);
+      Vec expected = layer.Forward(row);
+      for (int c = 0; c < y.cols; ++c) {
+        // Exact: the blocked GEMM keeps each output element's accumulation
+        // order identical to the scalar path.
+        EXPECT_EQ(y.Row(r)[c], expected[static_cast<size_t>(c)])
+            << rows << " rows, row " << r << " col " << c;
+      }
     }
   }
 }
@@ -244,6 +250,56 @@ TEST(GraphEmbedderTest, GradientsMatchFiniteDifference) {
     gnn.Backward(cache, demb);
   };
   CheckGradients(params, loss, backward, 1e-4);
+}
+
+TEST(GraphEmbedderTest, ForwardBatchMatchesForwardBitForBitOnRandomDags) {
+  // Random DAGs (isolated nodes, multi-parent nodes, repeated and unsorted
+  // child lists included) stacked 1..19 graphs deep: every graph's batched
+  // embedding must equal the training Forward's to the bit. Graph counts
+  // cross the GEMM's 16-row panel and 4-row block boundaries.
+  Rng rng(2024);
+  GraphEmbedder gnn(7, 9, 2, &rng);
+  GraphEmbedder::BatchScratch scratch;
+  GraphTopology topology;
+  Mat nodes, embeddings;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(1, 12));
+    std::vector<std::vector<int>> children(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        // Edges only toward lower ids keep it acyclic; rare repeats.
+        if (j < i && rng.Uniform() < 0.3) {
+          children[static_cast<size_t>(i)].push_back(j);
+          if (rng.Uniform() < 0.1) children[static_cast<size_t>(i)].push_back(j);
+        }
+      }
+      std::shuffle(children[static_cast<size_t>(i)].begin(),
+                   children[static_cast<size_t>(i)].end(), rng.engine());
+    }
+    topology.Assign(n, [&](int i) -> const std::vector<int>& {
+      return children[static_cast<size_t>(i)];
+    });
+    const int graphs = static_cast<int>(rng.UniformInt(1, 19));
+    nodes.Resize(graphs * n, 7);
+    for (double& v : nodes.data) v = rng.Uniform(-2.0, 2.0);
+    gnn.ForwardBatch(nodes, topology, &embeddings, &scratch);
+    ASSERT_EQ(embeddings.rows, graphs);
+    ASSERT_EQ(embeddings.cols, gnn.out_dim());
+    for (int g = 0; g < graphs; ++g) {
+      PlanGraph graph;
+      graph.children = children;
+      for (int i = 0; i < n; ++i) {
+        const double* row = nodes.Row(g * n + i);
+        graph.node_features.emplace_back(row, row + 7);
+      }
+      GraphEmbedder::Cache cache;
+      const Vec expected = gnn.Forward(graph, &cache);
+      ASSERT_EQ(std::memcmp(expected.data(), embeddings.Row(g),
+                            expected.size() * sizeof(double)),
+                0)
+          << "trial " << trial << " graph " << g << " of " << graphs;
+    }
+  }
 }
 
 PlanGraph MakeTree(int feat_dim) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -264,6 +265,28 @@ class ShardingFixture : public ::testing::Test {
     return {latency, cost};
   }
 
+  /// Per machine, the summed theta cores and memory `decision` books stay
+  /// within the machine's free capacity (Def. 5.2's capacity constraint).
+  static void ExpectWithinFreeCapacity(const Cluster& cluster,
+                                       const StageDecision& decision) {
+    std::vector<double> cores(static_cast<size_t>(cluster.size()), 0.0);
+    std::vector<double> memory(static_cast<size_t>(cluster.size()), 0.0);
+    for (size_t i = 0; i < decision.machine_of_instance.size(); ++i) {
+      const auto id = static_cast<size_t>(decision.machine_of_instance[i]);
+      cores[id] += decision.theta_of_instance[i].cores;
+      memory[id] += decision.theta_of_instance[i].memory_gb;
+    }
+    for (int j = 0; j < cluster.size(); ++j) {
+      const Machine& machine = cluster.machine(j);
+      EXPECT_LE(cores[static_cast<size_t>(j)],
+                machine.available_cores() + 1e-9)
+          << "machine " << j << " over-booked on cores";
+      EXPECT_LE(memory[static_cast<size_t>(j)],
+                machine.available_memory_gb() + 1e-9)
+          << "machine " << j << " over-booked on memory";
+    }
+  }
+
   static ExperimentEnv* env_;
   static Cluster* cluster_;
 };
@@ -372,6 +395,60 @@ TEST_F(ShardingFixture, ShardedSolveStaysInShardAndRespectsCapacity) {
                                  INT_MAX));
     }
   }
+}
+
+TEST_F(ShardingFixture, RefineKeepsSummedThetaWithinFreeCapacity) {
+  // Frozen regression inputs: (fleet, stage) pairs whose refined sharded
+  // decision over-booked a machine when refine admitted moves by a theta0
+  // instance count — the moved bottleneck carries its larger RAA theta.
+  struct Case {
+    int machines;
+    double util;
+    uint64_t fleet_seed;
+    int job;
+    int instances;
+  };
+  for (const Case& c : {Case{64, 0.55, 21, 8, 135}, Case{32, 0.55, 11, 8, 135},
+                        Case{64, 0.75, 8, 2, 159}}) {
+    Cluster cluster(ClusterOptions{.num_machines = c.machines,
+                                   .base_util_mean = c.util,
+                                   .seed = c.fleet_seed});
+    const Stage& stage =
+        env_->workload().jobs[static_cast<size_t>(c.job)].stages[0];
+    ASSERT_EQ(stage.instance_count(), c.instances) << "workload drifted";
+    SchedulingContext context = MakeContext(stage, &cluster);
+    context.shard_count = 4;
+    StageDecision decision =
+        StageOptimizer(StageOptimizer::IpaRaaPath()).Optimize(context);
+    ASSERT_TRUE(decision.feasible);
+    ExpectWithinFreeCapacity(cluster, decision);
+  }
+}
+
+TEST_F(ShardingFixture, RefineIsByteIdenticalWithAndWithoutPool) {
+  const Stage& stage = env_->workload().jobs[8].stages[0];
+  SchedulingContext context = MakeContext(stage);
+  context.shard_count = 4;
+  const StageDecision start = FuxiSchedule(context);
+  ASSERT_TRUE(start.feasible);
+
+  StageDecision serial = start;
+  const int serial_moves = RefineMergedDecision(context, &serial, true);
+  ThreadPool pool(3);
+  context.worker_pool = &pool;
+  StageDecision pooled = start;
+  const int pooled_moves = RefineMergedDecision(context, &pooled, true);
+
+  EXPECT_GT(serial_moves, 0);
+  EXPECT_EQ(pooled_moves, serial_moves);
+  EXPECT_EQ(pooled.machine_of_instance, serial.machine_of_instance);
+  ASSERT_EQ(pooled.theta_of_instance.size(), serial.theta_of_instance.size());
+  EXPECT_EQ(std::memcmp(pooled.theta_of_instance.data(),
+                        serial.theta_of_instance.data(),
+                        serial.theta_of_instance.size() *
+                            sizeof(ResourceConfig)),
+            0);
+  ExpectWithinFreeCapacity(*cluster_, serial);
 }
 
 TEST_F(ShardingFixture, ShardFanIsByteIdenticalAcrossPoolsAndRuns) {
