@@ -1,12 +1,9 @@
 #include "model/model_server.h"
 
 #include <cmath>
-#include <functional>
-#include <utility>
 
 #include "common/logging.h"
 #include "model/metrics.h"
-#include "model/model_registry.h"
 
 namespace fgro {
 
@@ -59,43 +56,20 @@ Result<ModelServer::DriftResult> ModelServer::RunDriftSimulation(
       }
       continue;
     }
-    // Gated adoption updates a clone and swaps it in only if the static
-    // gate passes it against the incumbent on the bucket this round just
-    // evaluated (the freshest data neither model has trained on yet).
-    auto adopt = [&](const std::function<Status(LatencyModel*)>& update)
-        -> Status {
-      if (!options.gate_updates) return update(&model);
-      LatencyModel candidate(model);
-      FGRO_RETURN_IF_ERROR(update(&candidate));
-      ModelGateResult gate =
-          RunModelGate(&candidate, &model, dataset, bucket, options.gate);
-      if (gate.passed) {
-        model = std::move(candidate);
-        ++result.updates_adopted;
-      } else {
-        ++result.updates_rejected;
-      }
-      return Status::OK();
-    };
     switch (policy) {
       case UpdatePolicy::kStatic:
         break;
       case UpdatePolicy::kRetrainFinetune:
         if ((b + 1) % static_cast<size_t>(retrain_every) == 0) {
-          FGRO_RETURN_IF_ERROR(adopt([&](LatencyModel* m) {
-            return m->Train(dataset, seen, {}, options.train);
-          }));
+          FGRO_RETURN_IF_ERROR(model.Train(dataset, seen, {}, options.train));
         } else {
-          FGRO_RETURN_IF_ERROR(adopt([&](LatencyModel* m) {
-            return m->FineTune(dataset, bucket, options.finetune);
-          }));
+          FGRO_RETURN_IF_ERROR(
+              model.FineTune(dataset, bucket, options.finetune));
         }
         break;
       case UpdatePolicy::kRetrain:
         if ((b + 1) % static_cast<size_t>(retrain_every) == 0) {
-          FGRO_RETURN_IF_ERROR(adopt([&](LatencyModel* m) {
-            return m->Train(dataset, seen, {}, options.train);
-          }));
+          FGRO_RETURN_IF_ERROR(model.Train(dataset, seen, {}, options.train));
         }
         break;
     }

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "model/latency_model.h"
-#include "model/model_registry.h"
 #include "trace/data_split.h"
 
 namespace fgro {
@@ -34,22 +33,11 @@ class ModelServer {
     // error and hide the drift signal the experiment measures.
     int min_training_records = 400;
     TrainOptions finetune;          // lr/epochs for the 6h fine-tune arm
-    /// Gated adoption: every retrain / fine-tune runs on a clone and is
-    /// promoted only if RunModelGate passes it against the incumbent on
-    /// the bucket just evaluated (the freshest held-out data). A rejected
-    /// candidate is discarded and the incumbent keeps serving — this is
-    /// what contains a divergent fine-tune. Off by default: the classic
-    /// Expt 7 arms update in place.
-    bool gate_updates = false;
-    ModelGateOptions gate;
   };
 
   struct DriftResult {
     std::vector<double> bucket_wmape;   // one per evaluated bucket
     std::vector<double> bucket_hours;   // bucket start, in hours
-    /// Gated-adoption accounting (zero unless gate_updates).
-    int updates_adopted = 0;
-    int updates_rejected = 0;
   };
 
   static const char* PolicyName(UpdatePolicy policy);

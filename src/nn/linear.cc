@@ -11,12 +11,15 @@ namespace fgro {
 
 namespace {
 
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
 // Runtime ISA dispatch for the GEMM panel kernel: the portable binary keeps
 // the x86-64 baseline (SSE2) as its default clone and upgrades to AVX2 or
 // AVX-512 on hosts that have them. No clone enables FMA, and the build pins
 // -ffp-contract=off, so every lane computes mul-then-add in the exact
 // scalar order on every ISA — dispatch can never change a prediction bit.
+// ThreadSanitizer builds keep the baseline kernel only: the clones resolve
+// through an IFUNC, which crashes TSan binaries before main with GCC.
 #define FGRO_KERNEL_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))
 #else

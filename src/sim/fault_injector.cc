@@ -109,7 +109,7 @@ double FaultInjector::UnitDraw(uint64_t stream, int job, int stage,
 
 bool FaultInjector::InstanceFails(int job, int stage, int instance,
                                   int attempt) const {
-  if (options_.instance_failure_prob <= 0.0) return false;
+  if (!active() || options_.instance_failure_prob <= 0.0) return false;
   return UnitDraw(0x6661696cULL, job, stage, instance, attempt) <
          options_.instance_failure_prob;
 }
@@ -124,7 +124,7 @@ double FaultInjector::FailurePointFraction(int job, int stage, int instance,
 
 double FaultInjector::StragglerMultiplier(int job, int stage, int instance,
                                           int attempt) const {
-  if (options_.straggler_prob <= 0.0) return 1.0;
+  if (!active() || options_.straggler_prob <= 0.0) return 1.0;
   if (UnitDraw(0x736c6f77ULL, job, stage, instance, attempt) <
       options_.straggler_prob) {
     return options_.straggler_slowdown;

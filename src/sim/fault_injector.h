@@ -100,6 +100,7 @@ class FaultInjector {
   bool MachineCrashesWithin(int machine_id, double start, double duration,
                             double* crash_at) const;
 
+  /// False whenever the injector is inactive, whatever the probability.
   bool InstanceFails(int job, int stage, int instance, int attempt) const;
 
   /// Fraction of the attempt's latency already executed when it fails
@@ -107,7 +108,9 @@ class FaultInjector {
   double FailurePointFraction(int job, int stage, int instance,
                               int attempt) const;
 
-  /// 1.0 for a normal attempt, `straggler_slowdown` for a straggler.
+  /// 1.0 for a normal attempt, `straggler_slowdown` for a straggler; always
+  /// 1.0 while the injector is inactive, so a fault-free attempt is exactly
+  /// its outcome draw.
   double StragglerMultiplier(int job, int stage, int instance,
                              int attempt) const;
 

@@ -292,13 +292,16 @@ TEST(DeterminismTest, BatchedParallelReplayMatchesScalarSequential) {
     SimOptions sim_options;
     sim_options.outcome = OutcomeMode::kEnvironment;
     sim_options.seed = 13;
-    sim_options.batched_inference = batched;
     sim_options.memo = memo;
     sim_options.worker_pool = pool;
     Simulator sim(&(*env)->workload(), &(*env)->model(), sim_options);
     StageOptimizer optimizer(StageOptimizer::IpaRaaPathWithFallback());
-    Result<SimResult> result = sim.Run(
-        [&](const SchedulingContext& c) { return optimizer.Optimize(c); });
+    Result<SimResult> result =
+        sim.Run([&](const SchedulingContext& c) {
+          SchedulingContext ctx = c;
+          ctx.batched_inference = batched;
+          return optimizer.Optimize(ctx);
+        });
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
   };

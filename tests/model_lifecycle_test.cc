@@ -17,7 +17,6 @@
 
 #include "hbo/hbo.h"
 #include "model/model_registry.h"
-#include "model/model_server.h"
 #include "model/prediction_cache.h"
 #include "optimizer/stage_optimizer.h"
 #include "sim/experiment_env.h"
@@ -474,57 +473,6 @@ TEST_F(LifecycleFixture, MemoHitAfterHotSwapMatchesFreshPrediction) {
   for (size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(b_again[i], b_fresh[i]);
   }
-}
-
-TEST_F(LifecycleFixture, ModelServerGateContainsDivergentFineTune) {
-  // Expt 7 with a deliberately destructive fine-tune arm (huge lr): the
-  // ungated server adopts every update and its error explodes; the gated
-  // server rejects the divergent updates and tracks the incumbent.
-  const TraceDataset& dataset = env_->dataset();
-  const int n = static_cast<int>(dataset.records.size());
-  ASSERT_GE(n, 800);
-  const int bucket_size = n / 8;
-  std::vector<std::vector<int>> buckets;
-  for (int b = 0; b < 8; ++b) {
-    std::vector<int> bucket;
-    for (int i = b * bucket_size; i < (b + 1) * bucket_size; ++i) {
-      bucket.push_back(i);
-    }
-    buckets.push_back(std::move(bucket));
-  }
-
-  ModelServer::DriftOptions options;
-  options.model.featurizer = Featurizer(ChannelMask{}, 10);
-  options.train.epochs = 2;
-  options.train.max_train_samples = 2000;
-  options.min_training_records = bucket_size;
-  options.finetune.epochs = 6;
-  options.finetune.lr = 0.2;  // divergent on purpose
-  options.finetune.lr_decay = 1.0;
-  options.finetune.max_train_samples = 500;
-
-  auto run_with = [&](bool gated) {
-    ModelServer::DriftOptions arm = options;
-    arm.gate_updates = gated;
-    Result<ModelServer::DriftResult> r = ModelServer::RunDriftSimulation(
-        dataset, buckets, ModelServer::UpdatePolicy::kRetrainFinetune, arm);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return std::move(r).value();
-  };
-
-  const ModelServer::DriftResult ungated = run_with(false);
-  const ModelServer::DriftResult gated = run_with(true);
-  EXPECT_EQ(ungated.updates_adopted + ungated.updates_rejected, 0);
-  EXPECT_GT(gated.updates_rejected, 0);
-
-  ASSERT_FALSE(gated.bucket_wmape.empty());
-  ASSERT_EQ(gated.bucket_wmape.size(), ungated.bucket_wmape.size());
-  double gated_mean = 0.0, ungated_mean = 0.0;
-  for (size_t i = 0; i < gated.bucket_wmape.size(); ++i) {
-    gated_mean += gated.bucket_wmape[i];
-    ungated_mean += ungated.bucket_wmape[i];
-  }
-  EXPECT_LT(gated_mean, ungated_mean);
 }
 
 TEST_F(LifecycleFixture, ReplayGatedRetrainPromotesAndSurfacesCounters) {

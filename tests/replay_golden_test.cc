@@ -418,5 +418,23 @@ TEST_F(ReplayGoldenTest, CodelServiceReplay) {
   EXPECT_EQ(summary.jobs_failed, 0);
 }
 
+TEST_F(ReplayGoldenTest, DisabledFaultOptionsAreInertUnderReconfig) {
+  // A fault config that is switched off must not perturb the replay, even
+  // when it carries nonzero probabilities and the reconfiguration engine
+  // draws straggler fates for its migrations.
+  SimOptions plain = Base();
+  AddReconfig(&plain);
+  AddDriftPulse(&plain);
+  SimOptions carrying = plain;
+  AddFaults(&carrying);
+  carrying.faults.enabled = false;
+  carrying.faults.straggler_prob = 0.5;
+  RoSummary p, c;
+  const uint64_t plain_hash = Replay(plain, Sched::kIpaRaa, &p);
+  EXPECT_EQ(Replay(carrying, Sched::kIpaRaa, &c), plain_hash);
+  EXPECT_GT(c.migrations, 0);
+  EXPECT_EQ(c.total_retries, 0);
+}
+
 }  // namespace
 }  // namespace fgro
