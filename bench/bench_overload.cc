@@ -1,19 +1,18 @@
-// Three-arm overload sweep for the concurrent RO service: the same request
+// Two-arm overload sweep for the concurrent RO service: the same request
 // stream offered at a rising multiple of the measured saturation rate,
 // against a fixed worker pool, once per admission-control arm:
 //
-//   none   — bounded queue only (no brown-out, no CoDel),
-//   static — the static-threshold brown-out controller (PR 3 baseline),
+//   none   — bounded queue only (no CoDel),
 //   codel  — adaptive sojourn-time CoDel with online target learning.
 //
 // The claim under test: the adaptive arm keeps the p95/p99 queue wait flat
-// across offered load — the other arms let waits grow to the queue bound
+// across offered load — the none arm lets waits grow to the queue bound
 // past saturation, so "flat" is judged by the worst point of the sweep
 // (a spread metric would reward an arm that is uniformly saturated) —
 // without giving up goodput at saturation. The bench exits non-zero unless
-// CoDel's worst p95 AND worst p99 across the sweep are no higher than both
-// baselines' and its goodput at the 1.0x (saturation) point stays at or
-// above the static-brownout arm's.
+// CoDel's worst p95 AND worst p99 across the sweep are no higher than the
+// none arm's and its goodput at the 1.0x (saturation) point stays within
+// 0.95 of the none arm's.
 
 #include <algorithm>
 #include <chrono>
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   const bool quick = HasFlag(argc, argv, "--quick");
   const std::string json_out = FlagValue(argc, argv, "--json_out=");
-  PrintHeader("Overload: none vs static brown-out vs adaptive CoDel");
+  PrintHeader("Overload: none vs adaptive CoDel");
 
   ExperimentEnv::Options options = DefaultOptions(
       WorkloadId::kA, quick ? BenchScale::kSmoke : BenchScale::kAblation);
@@ -149,7 +148,7 @@ int main(int argc, char** argv) {
   const int num_jobs = static_cast<int>(workload.jobs.size());
 
   const int kWorkers = 2;
-  // Deep enough that a full queue means real pain: the static arms let the
+  // Deep enough that a full queue means real pain: the none arm lets the
   // wait grow to ~capacity * service / workers past saturation, which is
   // exactly the headroom CoDel's sojourn control is supposed to not use.
   const std::size_t kQueueCapacity = 32;
@@ -200,9 +199,7 @@ int main(int argc, char** argv) {
   // converge keeps the startup transient out of the p99 at every rate.
   const double window_seconds = quick ? 2.0 : 3.0;
 
-  std::vector<Arm> arms = {{"none", {}, 0, 0},
-                           {"static", {}, 0, 0},
-                           {"codel", {}, 0, 0}};
+  std::vector<Arm> arms = {{"none", {}, 0, 0}, {"codel", {}, 0, 0}};
   for (Arm& arm : arms) {
     std::printf("\n  arm: %s\n", arm.name);
     std::printf("  %-6s %8s %8s %6s %7s %9s %9s %9s %s\n", "load", "offered",
@@ -211,20 +208,12 @@ int main(int argc, char** argv) {
     for (double multiplier : multipliers) {
       RoServiceOptions service_options;
       service_options.queue_capacity = kQueueCapacity;
-      if (std::strcmp(arm.name, "static") == 0) {
-        service_options.brownout.enabled = true;
-        service_options.brownout.queue_high_fraction = 0.6;
-        service_options.brownout.queue_low_fraction = 0.25;
-        service_options.brownout.demote_after = 3;
-        service_options.brownout.promote_after = 5;
-      } else if (std::strcmp(arm.name, "codel") == 0) {
+      if (std::strcmp(arm.name, "codel") == 0) {
         service_options.codel.enabled = true;
         service_options.codel_clock = CodelClockMode::kWallClock;
         // Deliberately calibration-free constants: deriving them from the
-        // measured service time just inherits the calibration's noise
-        // (the static arm's depth thresholds are calibration-free, which
-        // is why it is stable) — finding the right latency target is the
-        // adaptive layer's job. The interval is several service times so
+        // measured service time just inherits the calibration's noise —
+        // finding the right latency target is the adaptive layer's job. The interval is several service times so
         // a fast drain of an above-target backlog cannot fire an
         // escalation per dequeue; demote early (a two-worker pool, not a
         // router with thousands of flows), shed late — demotion
@@ -329,36 +318,33 @@ int main(int argc, char** argv) {
   }
 
   // Verdict. Flatness: CoDel's worst p95/p99 across the sweep must be no
-  // higher than either baseline's worst (small absolute slack for
+  // higher than the none arm's worst (small absolute slack for
   // histogram-bucket granularity) — worst-of-sweep, because a spread
   // metric would score an arm that is pinned at the queue bound at every
   // multiplier as perfectly flat. Goodput: at the saturation point CoDel
-  // must hold at least ~the static-brownout arm's completion rate — flat
-  // latency bought by refusing all the work would be cheating.
+  // must hold at least ~the none arm's completion rate — flat latency
+  // bought by refusing all the work would be cheating.
   const Arm& none = arms[0];
-  const Arm& fixed = arms[1];
-  const Arm& codel = arms[2];
+  const Arm& codel = arms[1];
   // Slack: absolute for histogram-bucket granularity, proportional for
   // scheduler noise on a shared machine — the claim is "no worse tails",
   // not "wins a coin-flip-sized margin".
   auto no_worse = [](double codel_ms, double base_ms) {
     return codel_ms <= std::max(base_ms + 10.0, 1.25 * base_ms);
   };
-  const bool flat_p95 = no_worse(codel.worst_p95_ms, fixed.worst_p95_ms) &&
-                        no_worse(codel.worst_p95_ms, none.worst_p95_ms);
-  const bool flat_p99 = no_worse(codel.worst_p99_ms, fixed.worst_p99_ms) &&
-                        no_worse(codel.worst_p99_ms, none.worst_p99_ms);
+  const bool flat_p95 = no_worse(codel.worst_p95_ms, none.worst_p95_ms);
+  const bool flat_p99 = no_worse(codel.worst_p99_ms, none.worst_p99_ms);
   const SweepPoint& codel_sat = SaturationPoint(codel.points);
-  const SweepPoint& static_sat = SaturationPoint(fixed.points);
-  const bool goodput_holds = codel_sat.goodput >= 0.95 * static_sat.goodput;
+  const SweepPoint& none_sat = SaturationPoint(none.points);
+  const bool goodput_holds = codel_sat.goodput >= 0.95 * none_sat.goodput;
   const bool pass = flat_p95 && flat_p99 && goodput_holds;
 
-  std::printf("\n  worst p95: none %.1fms static %.1fms codel %.1fms\n",
-              none.worst_p95_ms, fixed.worst_p95_ms, codel.worst_p95_ms);
-  std::printf("  worst p99: none %.1fms static %.1fms codel %.1fms\n",
-              none.worst_p99_ms, fixed.worst_p99_ms, codel.worst_p99_ms);
-  std::printf("  goodput @ %.1fx: codel %.1f/s vs static %.1f/s\n",
-              codel_sat.multiplier, codel_sat.goodput, static_sat.goodput);
+  std::printf("\n  worst p95: none %.1fms codel %.1fms\n", none.worst_p95_ms,
+              codel.worst_p95_ms);
+  std::printf("  worst p99: none %.1fms codel %.1fms\n", none.worst_p99_ms,
+              codel.worst_p99_ms);
+  std::printf("  goodput @ %.1fx: codel %.1f/s vs none %.1f/s\n",
+              codel_sat.multiplier, codel_sat.goodput, none_sat.goodput);
   std::printf("  verdict: codel flat p95: %s | flat p99: %s"
               " | goodput holds: %s -> %s\n",
               flat_p95 ? "yes" : "NO", flat_p99 ? "yes" : "NO",

@@ -32,10 +32,17 @@ namespace {
 // ops under AVX2 and four xmm ops at the SSE2 baseline by the compiler.
 typedef double V8 __attribute__((vector_size(64)));
 
-inline V8 LoadV8(const double* p) {
+// Returned wrapped in a struct: a V8 returned by value would change the
+// vector ABI between the target_clones (-Wpsabi); the struct goes through
+// memory on every ISA, and inlining leaves the same loads.
+struct V8Load {
   V8 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+};
+
+inline V8Load LoadV8(const double* p) {
+  V8Load r;
+  std::memcpy(&r.v, p, sizeof(r.v));
+  return r;
 }
 
 /// One 16-row panel block of y = x W^T + b. `panel` holds the 16 input
@@ -55,8 +62,8 @@ void GemmPanelKernel(const double* panel, const double* w, const double* b,
     for (int c = 0; c < in; ++c, p += 16) {
       const double wc = wr[c];
       const V8 wv = {wc, wc, wc, wc, wc, wc, wc, wc};
-      acc0 += wv * LoadV8(p);
-      acc1 += wv * LoadV8(p + 8);
+      acc0 += wv * LoadV8(p).v;
+      acc1 += wv * LoadV8(p + 8).v;
     }
     double lanes[16];
     std::memcpy(lanes, &acc0, sizeof(acc0));

@@ -27,7 +27,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins scalar (queue depth, brown-out level, ...).
+/// Last-write-wins scalar (queue depth, CoDel target, ...).
 class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }

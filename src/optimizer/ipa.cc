@@ -16,7 +16,6 @@ bool BuildBplMatrix(const SchedulingContext& context,
                     const std::vector<int>& instance_rows,
                     const std::vector<int>& machine_cols,
                     std::vector<std::vector<double>>* L) {
-  const Stage& stage = *context.stage;
   const Cluster& cluster = *context.cluster;
   const LatencyModel& model = *context.model;
   const int m = static_cast<int>(instance_rows.size());
@@ -24,29 +23,8 @@ bool BuildBplMatrix(const SchedulingContext& context,
   L->assign(static_cast<size_t>(m),
             std::vector<double>(static_cast<size_t>(n)));
 
-  if (!context.batched_inference) {
-    // Scalar baseline path, preserved verbatim: one deadline check per
-    // matrix row (the m x n inference bill is the expensive part, and
-    // aborting here leaves the ladder budget to spare).
-    for (int i = 0; i < m; ++i) {
-      if (context.deadline.expired()) return false;
-      Result<LatencyModel::EmbeddedInstance> embedded =
-          model.Embed(stage, instance_rows[static_cast<size_t>(i)]);
-      if (!embedded.ok()) return false;
-      for (int j = 0; j < n; ++j) {
-        const Machine& machine =
-            cluster.machine(machine_cols[static_cast<size_t>(j)]);
-        (*L)[static_cast<size_t>(i)][static_cast<size_t>(j)] =
-            model.PredictFromEmbedding(embedded.value(), context.theta0,
-                                       machine.state(),
-                                       machine.hardware().id);
-      }
-    }
-    return true;
-  }
-
-  // Batched path. Embed every row first — the GTN pass dominates and rows
-  // are independent, so the chunks fan across the worker pool.
+  // Embed every row first — the GTN pass dominates and rows are
+  // independent, so the chunks fan across the worker pool.
   std::vector<LatencyModel::EmbeddedInstance> embedded;
   if (!EmbedInstances(context, instance_rows, /*check_deadline=*/true,
                       &embedded)) {
@@ -218,7 +196,7 @@ StageDecision IpaSchedule(const SchedulingContext& context) {
   }
 
   // Latency matrix: one plan embedding per instance, then a predictor sweep
-  // over the candidate machines (batched into one PredictBatch by default).
+  // over the candidate machines, batched into one PredictBatch.
   std::vector<int> instance_rows(static_cast<size_t>(m));
   std::iota(instance_rows.begin(), instance_rows.end(), 0);
   std::vector<std::vector<double>> L;

@@ -46,8 +46,8 @@ ClusteredIpaResult IpaClusteredSchedule(const SchedulingContext& context) {
     }
   }
 
-  // Reduced latency matrix over representatives (one PredictBatch in the
-  // default batched mode; see BuildBplMatrix).
+  // Reduced latency matrix over representatives (one PredictBatch; see
+  // BuildBplMatrix).
   std::vector<int> instance_rows(static_cast<size_t>(mc));
   std::vector<int> machine_cols(static_cast<size_t>(nc));
   for (int i = 0; i < mc; ++i) {

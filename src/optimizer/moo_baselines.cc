@@ -98,27 +98,22 @@ struct BaselineProblem {
     std::vector<double> used_mem(static_cast<size_t>(nc), 0.0);
     std::vector<long> used_slots(static_cast<size_t>(nc), 0);
 
-    // One PredictBatch per genome covers every cluster's latency; the
-    // accumulation loop below is unchanged, so batched and scalar genomes
-    // evaluate bit-identically.
-    const bool batched = context->batched_inference;
-    if (batched) {
-      batch_queries.clear();
-      batch_queries.reserve(static_cast<size_t>(mc));
-      for (int i = 0; i < mc; ++i) {
-        int j = mach_of_cluster[static_cast<size_t>(i)];
-        const Machine& machine = context->cluster->machine(
-            mach_clusters[static_cast<size_t>(j)].representative);
-        batch_queries.push_back(LatencyModel::PredictionQuery{
-            &embeddings[static_cast<size_t>(i)],
-            {grid[static_cast<size_t>(
-                 theta_of_cluster[static_cast<size_t>(i)])],
-             machine.state(), machine.hardware().id}});
-      }
-      batch_lats.resize(static_cast<size_t>(mc));
-      context->model->PredictBatch(batch_queries, batch_lats.data(),
-                                   &batch_scratch, context->memo);
+    // One PredictBatch per genome covers every cluster's latency.
+    batch_queries.clear();
+    batch_queries.reserve(static_cast<size_t>(mc));
+    for (int i = 0; i < mc; ++i) {
+      int j = mach_of_cluster[static_cast<size_t>(i)];
+      const Machine& machine = context->cluster->machine(
+          mach_clusters[static_cast<size_t>(j)].representative);
+      batch_queries.push_back(LatencyModel::PredictionQuery{
+          &embeddings[static_cast<size_t>(i)],
+          {grid[static_cast<size_t>(
+               theta_of_cluster[static_cast<size_t>(i)])],
+           machine.state(), machine.hardware().id}});
     }
+    batch_lats.resize(static_cast<size_t>(mc));
+    context->model->PredictBatch(batch_queries, batch_lats.data(),
+                                 &batch_scratch, context->memo);
 
     MooEvaluation eval;
     double latency = 0.0, cost = 0.0;
@@ -133,13 +128,7 @@ struct BaselineProblem {
       used_mem[static_cast<size_t>(j)] += theta.memory_gb * size;
       used_slots[static_cast<size_t>(j)] += static_cast<long>(size);
 
-      const Machine& machine = context->cluster->machine(
-          mach_clusters[static_cast<size_t>(j)].representative);
-      double lat =
-          batched ? batch_lats[static_cast<size_t>(i)]
-                  : context->model->PredictFromEmbedding(
-                        embeddings[static_cast<size_t>(i)], theta,
-                        machine.state(), machine.hardware().id);
+      const double lat = batch_lats[static_cast<size_t>(i)];
       latency = std::max(latency, lat);
       cost += lat * context->cost_weights.Rate(theta) * size;
     }

@@ -347,41 +347,26 @@ RaaResult RunRaa(const SchedulingContext& context,
   std::atomic<bool> any_abort{false};
 
   // Predicts `thetas` (plus theta0 appended when `theta0_index` < 0) for
-  // one embedded instance on the group's machine; returns thetas.size()
-  // (+1) latencies. Batched and scalar paths are bit-identical.
+  // one embedded instance on the group's machine in one PredictBatch call;
+  // returns thetas.size() (+1) latencies.
   auto predict_thetas = [&](const LatencyModel::EmbeddedInstance& embedded,
                             const Machine& machine,
                             const std::vector<ResourceConfig>& thetas,
                             int theta0_index, std::vector<double>* lats) {
     const size_t total = thetas.size() + (theta0_index < 0 ? 1 : 0);
-    if (context.batched_inference) {
-      std::vector<LatencyModel::PredictionCandidate> candidates;
-      candidates.reserve(total);
-      for (const ResourceConfig& theta : thetas) {
-        candidates.push_back(
-            {theta, machine.state(), machine.hardware().id});
-      }
-      if (theta0_index < 0) {
-        candidates.push_back(
-            {context.theta0, machine.state(), machine.hardware().id});
-      }
-      lats->assign(total, 0.0);
-      LatencyModel::BatchScratch scratch;
-      context.model->PredictBatch(embedded, candidates, lats->data(),
-                                  &scratch, context.memo);
-    } else {
-      lats->clear();
-      lats->reserve(total);
-      for (const ResourceConfig& theta : thetas) {
-        lats->push_back(context.model->PredictFromEmbedding(
-            embedded, theta, machine.state(), machine.hardware().id));
-      }
-      if (theta0_index < 0) {
-        lats->push_back(context.model->PredictFromEmbedding(
-            embedded, context.theta0, machine.state(),
-            machine.hardware().id));
-      }
+    std::vector<LatencyModel::PredictionCandidate> candidates;
+    candidates.reserve(total);
+    for (const ResourceConfig& theta : thetas) {
+      candidates.push_back({theta, machine.state(), machine.hardware().id});
     }
+    if (theta0_index < 0) {
+      candidates.push_back(
+          {context.theta0, machine.state(), machine.hardware().id});
+    }
+    lats->assign(total, 0.0);
+    LatencyModel::BatchScratch scratch;
+    context.model->PredictBatch(embedded, candidates, lats->data(), &scratch,
+                                context.memo);
   };
 
   auto compute_group = [&](int gi) {

@@ -36,11 +36,11 @@ struct SchedulingContext {
   /// the fallback rung still has budget to run. Callers may pre-arm it
   /// (e.g. with an injected test clock) and the solvers honor theirs.
   Deadline deadline;
-  /// False when the serving layer is browned out one rung: placement (IPA)
-  /// still runs, but RAA is skipped and every instance gets theta0, i.e.
-  /// the decision lands on FallbackLevel::kTheta0 directly. Cheaper than
-  /// the primary path, better than Fuxi; the brown-out controller flips
-  /// this under sustained overload and restores it when pressure clears.
+  /// False when the serving layer demotes a request one rung: placement
+  /// (IPA) still runs, but RAA is skipped and every instance gets theta0,
+  /// i.e. the decision lands on FallbackLevel::kTheta0 directly. Cheaper
+  /// than the primary path, better than Fuxi; RoService clears it for
+  /// requests CoDel pins to its theta0 rung under sustained overload.
   bool raa_allowed = true;
   /// Diverse-placement cap: max instances per machine. 0 = auto
   /// (2 * ceil(m / available machines), always >= ceil(m/n) as required).
@@ -57,13 +57,6 @@ struct SchedulingContext {
   /// Span id the scheduler should parent its decision span under (-1 =
   /// root). Set by the simulator's per-stage span.
   int trace_parent = -1;
-  /// Batched-inference switch. When true (default) IPA/clustered-IPA/RAA
-  /// and the MOO baselines issue PredictBatch sweeps over the model; when
-  /// false they run the original scalar PredictFromEmbedding loops, kept
-  /// alive as the bench baseline and the determinism-test oracle. Both
-  /// paths are bit-identical by construction, so this flag can never change
-  /// a decision — only its cost.
-  bool batched_inference = true;
   /// Optional prediction memo shared across stages (caller-owned, thread-
   /// safe; must be cleared whenever the model is retrained). Null = no
   /// memoization. Hits return exactly the value the model would compute,

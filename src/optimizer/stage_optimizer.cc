@@ -119,7 +119,6 @@ StageDecision StageOptimizer::OptimizeSharded(const SchedulingContext& context,
   Stopwatch wall;
   obs::ScopedSpan shard_span(context.obs.tracer, "so.sharded", trace_parent);
   const Stage& stage = *context.stage;
-  const int m = stage.instance_count();
   const int k = EffectiveShardCount(context);
 
   ShardPlan plan = PlanForContext(context);
@@ -276,7 +275,7 @@ StageDecision StageOptimizer::OptimizeImpl(const SchedulingContext& context,
   if (!decision.feasible || !config_.run_raa) return decision;
 
   if (config_.degrade_gracefully && !ctx.raa_allowed) {
-    // Brown-out rung: the serving layer disabled RAA under overload. The
+    // CoDel theta0 rung: the serving layer disabled RAA under overload. The
     // placement above is valid; run every instance on HBO's theta0 and
     // report the middle ladder level so metrics attribute the demotion.
     decision.fallback = FallbackLevel::kTheta0;

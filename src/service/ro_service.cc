@@ -17,14 +17,6 @@ double NowSeconds() {
       .count();
 }
 
-/// One admission-control arm at a time: CoDel enabled forces the static
-/// brown-out baseline off.
-BrownoutOptions ArmedBrownout(const RoServiceOptions& options) {
-  BrownoutOptions brownout = options.brownout;
-  if (options.codel.enabled) brownout.enabled = false;
-  return brownout;
-}
-
 /// The adaptive target starts at the CoDel target unless the caller set a
 /// different initial value explicitly.
 AdaptiveTargetOptions ArmedAdaptiveTarget(const RoServiceOptions& options) {
@@ -33,16 +25,16 @@ AdaptiveTargetOptions ArmedAdaptiveTarget(const RoServiceOptions& options) {
   return adaptive;
 }
 
-BrownoutLevel LevelOfRung(CodelRung rung) {
+FallbackLevel LevelOfRung(CodelRung rung) {
   switch (rung) {
-    case CodelRung::kNone: return BrownoutLevel::kNormal;
-    case CodelRung::kTheta0: return BrownoutLevel::kTheta0;
+    case CodelRung::kNone: return FallbackLevel::kPrimary;
+    case CodelRung::kTheta0: return FallbackLevel::kTheta0;
     // A shed rung reached at dequeue means the request was admitted before
     // the overload deepened; it is served at the floor, not dropped.
     case CodelRung::kFuxi:
-    case CodelRung::kShed: return BrownoutLevel::kFuxi;
+    case CodelRung::kShed: return FallbackLevel::kFuxi;
   }
-  return BrownoutLevel::kNormal;
+  return FallbackLevel::kPrimary;
 }
 
 }  // namespace
@@ -59,7 +51,6 @@ RoService::RoService(const Workload* workload, const LatencyModel* model,
       num_workers_(std::max(1, sim_options.service_threads)),
       queue_(options.queue_capacity, /*num_lanes=*/2),
       pool_(num_workers_),
-      controller_(ArmedBrownout(options)),
       codel_(options.codel),
       adaptive_target_(ArmedAdaptiveTarget(options)),
       throughput_(std::max(8, options.adaptive_target.window)),
@@ -151,10 +142,9 @@ Status RoService::Submit(int job_idx, RequestPriority priority) {
 
   if (!queue_.TryPush(std::move(request), static_cast<int>(priority))) {
     // Load shedding: reject now rather than buffer unboundedly or block
-    // the caller. A shed is itself a pressure signal for the controller.
+    // the caller.
     ++stats_.jobs_shed;
     shed_counter_->Increment();
-    ObservePressureLocked();
     return Status::ResourceExhausted("RO admission queue full");
   }
   if (codel_virtual) virtual_queue_.Consume(virtual_arrival);
@@ -168,20 +158,7 @@ Status RoService::Submit(int job_idx, RequestPriority priority) {
   const int depth = static_cast<int>(queue_.size());
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
   queue_depth_gauge_->Set(static_cast<double>(depth));
-  ObservePressureLocked();
   return Status::OK();
-}
-
-void RoService::ObservePressureLocked() {
-  if (!controller_.enabled()) return;
-  // The controller wants the p95 of the *recent* window (recency matters
-  // for hysteresis); it owns the rolling sample deque so a promotion can
-  // clear it — see BrownoutController::Observe on staleness.
-  controller_.Observe(static_cast<int>(queue_.size()),
-                      static_cast<int>(queue_.capacity()),
-                      controller_.WindowP95());
-  stats_.brownout_demotions = controller_.demotions();
-  stats_.brownout_promotions = controller_.promotions();
 }
 
 void RoService::CodelObserveLocked(double now_seconds,
@@ -246,12 +223,13 @@ void RoService::ServeOne(const Request& request, WorkerLocal* local) {
     ++stats_.deadline_expired_jobs;
     ++stats_.expired_in_queue;
     ++stats_.jobs_shed;
-    ObservePressureLocked();
     if (--pending_ == 0) idle_.notify_all();
     return;
   }
 
-  BrownoutLevel level;
+  // Without CoDel every request is served at the primary level, and no lock
+  // is taken to find that out.
+  FallbackLevel level = FallbackLevel::kPrimary;
   if (options_.codel.enabled) {
     if (options_.codel_clock == CodelClockMode::kVirtualSim) {
       level = request.codel_level;  // pinned at admission, deterministic
@@ -267,31 +245,28 @@ void RoService::ServeOne(const Request& request, WorkerLocal* local) {
       if (!latency_sensitive) CodelObserveLocked(dequeue_time, wait_seconds);
       level = LevelOfRung(codel_.RungFor(latency_sensitive));
     }
-  } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    level = controller_.level();
   }
 
-  // The brown-out level is sampled once per request so a whole job is
-  // decided at one ladder level; the per-stage ladder still applies on top
-  // (a primary solve can individually degrade inside the replay).
+  // The CoDel level is sampled once per request so a whole job is decided
+  // at one ladder level; the per-stage ladder still applies on top (a
+  // primary solve can individually degrade inside the replay).
   auto scheduler = [this, level](const SchedulingContext& context) {
     SchedulingContext ctx = context;
-    if (level == BrownoutLevel::kFuxi) {
+    if (level == FallbackLevel::kFuxi) {
       ctx.model_available = false;
-    } else if (level == BrownoutLevel::kTheta0) {
+    } else if (level == FallbackLevel::kTheta0) {
       ctx.raa_allowed = false;
     }
     return optimizer_.Optimize(ctx);
   };
 
-  // A fully browned-out (Fuxi-level) request is being served as cheaply as
+  // A Fuxi-level request is being served as cheaply as
   // possible — re-planning and model fine-tuning would defeat the point —
   // so the reconfiguration engine is suppressed for it.
   Result<std::vector<StageOutcome>> outcomes = simulator_.ReplayJobIsolated(
       scheduler, request.job_idx, MixSeed(base_seed_, request.job_idx),
       /*keep_instance_detail=*/false,
-      /*allow_reconfig=*/level != BrownoutLevel::kFuxi);
+      /*allow_reconfig=*/level != FallbackLevel::kFuxi);
 
   if (options_.min_service_seconds > 0.0) {
     const double elapsed = NowSeconds() - dequeue_time;
@@ -316,32 +291,19 @@ void RoService::ServeOne(const Request& request, WorkerLocal* local) {
     local->first_error = outcomes.status();
   }
 
-  // Once-per-job control plane: completion counters, rolling p95 window,
-  // pressure observation, completion ordering, drain signalling. This is
-  // the only lock on the serving path; all per-stage work above ran
-  // lock-free.
+  // Once-per-job control plane: completion counters, CoDel level counts,
+  // completion ordering, drain signalling. This is the only lock on the
+  // serving path; all per-stage work above ran lock-free.
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.jobs_completed;
   if (!ok) ++stats_.jobs_failed;
-  if (options_.codel.enabled) {
-    if (level == BrownoutLevel::kTheta0) {
-      ++stats_.codel_theta0_jobs;
-      codel_theta0_counter_->Increment();
-    } else if (level == BrownoutLevel::kFuxi) {
-      ++stats_.codel_fuxi_jobs;
-      codel_fuxi_counter_->Increment();
-    }
-  } else {
-    if (level == BrownoutLevel::kTheta0) {
-      ++stats_.brownout_theta0_jobs;
-    } else if (level == BrownoutLevel::kFuxi) {
-      ++stats_.brownout_fuxi_jobs;
-    }
+  if (level == FallbackLevel::kTheta0) {
+    ++stats_.codel_theta0_jobs;
+    codel_theta0_counter_->Increment();
+  } else if (level == FallbackLevel::kFuxi) {
+    ++stats_.codel_fuxi_jobs;
+    codel_fuxi_counter_->Increment();
   }
-  if (controller_.enabled()) {
-    controller_.AddSample(end_time - dequeue_time);
-  }
-  ObservePressureLocked();
   completion_order_.push_back(request.job_idx);
   if (--pending_ == 0) idle_.notify_all();
 }
@@ -387,8 +349,6 @@ void RoService::Stop() {
   // of a second hand-rolled sample-percentile path.
   stats_.queue_wait_p95_ms = wait_hist_->Quantile(0.95) * 1e3;
   stats_.service_p95_ms = service_hist_->Quantile(0.95) * 1e3;
-  stats_.brownout_demotions = controller_.demotions();
-  stats_.brownout_promotions = controller_.promotions();
 }
 
 SimResult RoService::TakeResult() {
@@ -413,10 +373,6 @@ RoSummary RoService::Summary() {
   summary.jobs_completed = stats_.jobs_completed;
   summary.jobs_failed = stats_.jobs_failed;
   summary.jobs_latency_sensitive = stats_.jobs_latency_sensitive;
-  summary.brownout_demotions = stats_.brownout_demotions;
-  summary.brownout_promotions = stats_.brownout_promotions;
-  summary.brownout_theta0_jobs = stats_.brownout_theta0_jobs;
-  summary.brownout_fuxi_jobs = stats_.brownout_fuxi_jobs;
   summary.deadline_expired_jobs = stats_.deadline_expired_jobs;
   summary.expired_in_queue = stats_.expired_in_queue;
   summary.codel_shed_jobs = stats_.codel_shed_jobs;
@@ -434,11 +390,6 @@ RoSummary RoService::Summary() {
 RoServiceStats RoService::Stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-BrownoutLevel RoService::brownout_level() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return controller_.level();
 }
 
 const std::vector<int>& RoService::completion_order() {

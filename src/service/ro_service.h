@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "optimizer/stage_optimizer.h"
 #include "service/adaptive_target.h"
-#include "service/brownout.h"
 #include "sim/ro_metrics.h"
 #include "sim/simulator.h"
 #include "trace/workload_gen.h"
@@ -52,15 +51,12 @@ struct RoServiceOptions {
   double request_deadline_seconds = 0.0;
   /// Artificial per-job service-time floor (seconds). Zero in production;
   /// overload tests raise it so a burst deterministically outruns the
-  /// workers and exercises shedding / brown-out.
+  /// workers and exercises shedding and CoDel demotion.
   double min_service_seconds = 0.0;
-  /// Static-threshold brown-out controller (PR 3), the config-selected
-  /// baseline arm. Forced off when codel.enabled — one admission-control
-  /// arm at a time.
-  BrownoutOptions brownout;
-  /// Adaptive arm: sojourn-time CoDel over the admission queue, driving
-  /// the three-rung response (theta0 demotion, Fuxi demotion, early-drop
-  /// shed) with latency-sensitive-lane protection.
+  /// Admission control: sojourn-time CoDel over the admission queue,
+  /// driving the three-rung response (theta0 demotion, Fuxi demotion,
+  /// early-drop shed) with latency-sensitive-lane protection. Off, every
+  /// request is served at the primary level.
   CodelOptions codel;
   CodelClockMode codel_clock = CodelClockMode::kVirtualSim;
   /// Virtual queue model backing kVirtualSim (ignored under kWallClock).
@@ -78,10 +74,6 @@ struct RoServiceStats {
   long jobs_completed = 0;
   long jobs_failed = 0;
   long jobs_latency_sensitive = 0;
-  long brownout_demotions = 0;
-  long brownout_promotions = 0;
-  long brownout_theta0_jobs = 0;
-  long brownout_fuxi_jobs = 0;
   long deadline_expired_jobs = 0;
   /// Deadline-aware dequeue shed: requests completed as shed because the
   /// deadline expired while they waited (subset of deadline_expired_jobs).
@@ -104,31 +96,28 @@ struct RoServiceStats {
 ///
 ///   1. Load shedding — Submit() on a full queue rejects immediately with
 ///      kResourceExhausted instead of queueing unboundedly.
-///   2. Admission control, one of two config-selected arms:
-///      - Static brown-out (baseline) — a hysteretic controller watches
-///        queue depth and the rolling p95 service time and demotes work
-///        down the degradation ladder (IPA+RAA -> theta0 -> Fuxi) under
-///        sustained pressure, re-promoting when it clears.
-///      - Adaptive CoDel — every request is timestamped at enqueue and its
-///        sojourn observed at dequeue; when the minimum sojourn stays above
-///        a (learned) target for a control interval the service walks a
-///        three-rung response at inverse-sqrt-tightening intervals: theta0
-///        demotion, Fuxi demotion, then early-dropping the freshest batch
-///        arrivals, while the latency-sensitive lane is protected (demoted
-///        later, never shed). The target itself is learned online from the
-///        observed latency/throughput curve (AdaptiveTarget).
+///   2. Adaptive CoDel admission control — every request is timestamped
+///      at enqueue and its sojourn observed at dequeue; when the minimum
+///      sojourn stays above a (learned) target for a control interval the
+///      service walks a three-rung response at inverse-sqrt-tightening
+///      intervals: theta0 demotion, Fuxi demotion, then early-dropping the
+///      freshest batch arrivals, while the latency-sensitive lane is
+///      protected (demoted later, never shed). The target itself is
+///      learned online from the observed latency/throughput curve
+///      (AdaptiveTarget).
 ///   3. Per-request deadlines — a request whose budget expired while it
 ///      queued is completed as shed at dequeue instead of burning a worker.
 ///
 /// Determinism: each job replays in isolation (Simulator::ReplayJobIsolated)
 /// with a private RNG stream seeded MixSeed(sim.seed, job_idx), so with
-/// brown-out and deadlines off the merged SimResult is byte-identical for
-/// any worker count. Workers accumulate stage outcomes and latency samples
-/// into per-worker locals merged at Stop() — no atomics on the replay
-/// path; the service mutex guards only the once-per-job control plane
-/// (counters, brown-out observations, drain signalling).
+/// wall-clock CoDel and deadlines off the merged SimResult is
+/// byte-identical for any worker count. Workers accumulate stage outcomes
+/// and latency samples into per-worker locals merged at Stop() — no
+/// atomics on the replay path; the service mutex guards only the
+/// once-per-job control plane (counters, CoDel observations, drain
+/// signalling).
 ///
-/// Use a degrade_gracefully optimizer config: brown-out and expired
+/// Use a degrade_gracefully optimizer config: CoDel demotions and expired
 /// deadlines degrade via the ladder, which a non-FB config does not take.
 class RoService {
  public:
@@ -160,7 +149,7 @@ class RoService {
   SimResult TakeResult();
 
   /// Aggregate RO metrics over the merged result, with the service-layer
-  /// fields (shed / brown-out / queue metrics) filled in. Implies Stop().
+  /// fields (shed / CoDel / queue metrics) filled in. Implies Stop().
   RoSummary Summary();
 
   /// First replay error any worker hit (OK when none). Implies Stop().
@@ -168,9 +157,6 @@ class RoService {
 
   /// Service counters so far (callable while running).
   RoServiceStats Stats() const;
-
-  /// Current brown-out level.
-  BrownoutLevel brownout_level() const;
 
   /// Job indices in completion order (for priority-ordering tests).
   /// Implies Stop().
@@ -194,7 +180,7 @@ class RoService {
     /// Ladder level CoDel pinned at admission (kVirtualSim mode only):
     /// decided in submission order under the mutex, so it is a pure
     /// function of the submission sequence — the determinism anchor.
-    BrownoutLevel codel_level = BrownoutLevel::kNormal;
+    FallbackLevel codel_level = FallbackLevel::kPrimary;
   };
 
   /// Per-worker accumulation (the no-atomics-on-hot-path rule): the bulk
@@ -211,9 +197,6 @@ class RoService {
 
   void WorkerLoop(WorkerLocal* local);
   void ServeOne(const Request& request, WorkerLocal* local);
-  /// Feeds one (queue depth, rolling p95) observation to the controller.
-  /// Caller holds mutex_.
-  void ObservePressureLocked();
   /// One CoDel sojourn observation at (virtual or wall) dequeue time:
   /// feeds the controller, the throughput estimator, the adaptive target,
   /// and the service.codel.* metrics. Caller holds mutex_.
@@ -261,7 +244,6 @@ class RoService {
 
   mutable std::mutex mutex_;
   std::condition_variable idle_;
-  BrownoutController controller_;
   SojournCodel codel_;
   AdaptiveTarget adaptive_target_;
   ThroughputEstimator throughput_;

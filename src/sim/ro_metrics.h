@@ -64,13 +64,9 @@ struct RoSummary {
   long jobs_completed = 0;     // replays that finished (ok or failed)
   long jobs_failed = 0;        // replays that returned an error status
   long jobs_latency_sensitive = 0;  // admitted on the priority lane
-  long brownout_demotions = 0;      // controller level-increase transitions
-  long brownout_promotions = 0;     // controller level-decrease transitions
-  long brownout_theta0_jobs = 0;    // jobs served at the theta0 level
-  long brownout_fuxi_jobs = 0;      // jobs served at the fuxi level
   long deadline_expired_jobs = 0;   // per-request deadline gone at dequeue
   long expired_in_queue = 0;        // expired requests completed as shed
-  /// CoDel-arm accounting (all zero when the adaptive arm is off).
+  /// CoDel accounting (all zero when CoDel is off).
   long codel_shed_jobs = 0;         // early-dropped at admission
   long codel_theta0_jobs = 0;       // served one ladder level down
   long codel_fuxi_jobs = 0;         // served at the floor level

@@ -197,7 +197,7 @@ class Simulator {
   /// trained model, and this simulator's options).
   /// `allow_reconfig=false` suppresses the reconfiguration engine for this
   /// job even when SimOptions::reconfig.enabled — the service uses it to
-  /// keep browned-out (Fuxi-level) requests on the cheapest path.
+  /// keep requests CoDel demoted to the Fuxi level on the cheapest path.
   Result<std::vector<StageOutcome>> ReplayJobIsolated(
       const SchedulerFn& scheduler, int job_idx, uint64_t seed,
       bool keep_instance_detail = false, bool allow_reconfig = true) const;

@@ -332,8 +332,9 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(BplMatrixTest, BatchedParallelMatchesScalarSequential) {
-  // The IPA latency matrix must be byte-identical between the scalar
-  // sequential build and the batched build fanned across a pool, memo on.
+  // The IPA latency matrix must be byte-identical to a scalar sequential
+  // oracle (Embed + PredictFromEmbedding per cell), built fanned across a
+  // pool with the memo on.
   Result<Workload> workload = SmallWorkload();
   ASSERT_TRUE(workload.ok());
   const Stage& stage = workload->jobs[0].stages[0];
@@ -350,14 +351,22 @@ TEST(BplMatrixTest, BatchedParallelMatchesScalarSequential) {
   std::vector<int> machine_cols = cluster.AvailableMachines(context.theta0);
   ASSERT_FALSE(machine_cols.empty());
 
-  context.batched_inference = false;
   std::vector<std::vector<double>> scalar_matrix;
-  ASSERT_TRUE(
-      BuildBplMatrix(context, instance_rows, machine_cols, &scalar_matrix));
+  for (int row : instance_rows) {
+    Result<LatencyModel::EmbeddedInstance> embedded = model.Embed(stage, row);
+    ASSERT_TRUE(embedded.ok());
+    std::vector<double>& cells = scalar_matrix.emplace_back();
+    for (int col : machine_cols) {
+      const Machine& machine = cluster.machine(col);
+      cells.push_back(model.PredictFromEmbedding(embedded.value(),
+                                                 context.theta0,
+                                                 machine.state(),
+                                                 machine.hardware().id));
+    }
+  }
 
   ThreadPool pool(4);
   PredictionMemo memo;
-  context.batched_inference = true;
   context.worker_pool = &pool;
   context.memo = &memo;
   std::vector<std::vector<double>> batched_matrix;

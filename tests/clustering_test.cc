@@ -41,7 +41,9 @@ TEST(Kde1dTest, LabelsOrderedByValue) {
   std::vector<int> labels = Kde1dCluster(values);
   for (size_t i = 0; i < values.size(); ++i) {
     for (size_t j = 0; j < values.size(); ++j) {
-      if (values[i] < values[j]) EXPECT_LE(labels[i], labels[j]);
+      if (values[i] < values[j]) {
+        EXPECT_LE(labels[i], labels[j]);
+      }
     }
     if (i > 30) break;  // spot check to keep the O(n^2) loop cheap
   }

@@ -282,7 +282,7 @@ TEST(RngTest, ForkDiverges) {
 TEST(StopwatchTest, MeasuresNonNegativeTime) {
   Stopwatch sw;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds());
   double t1 = sw.ElapsedSeconds();

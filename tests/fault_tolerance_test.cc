@@ -192,7 +192,9 @@ TEST_F(FaultSimFixture, FaultyReplayRetriesAndChargesWaste) {
   EXPECT_GT(s.coverage, 0.8);
   for (const StageOutcome& o : result->outcomes) {
     EXPECT_LE(o.wasted_cost, o.stage_cost + 1e-12);
-    if (o.feasible) EXPECT_EQ(o.failed_instances, 0);
+    if (o.feasible) {
+      EXPECT_EQ(o.failed_instances, 0);
+    }
   }
 }
 

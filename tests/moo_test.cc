@@ -221,7 +221,7 @@ TEST(Nsga2Test, TimeLimitShortCircuits) {
   MooProblem slow = MakeBiobjectiveProblem();
   slow.evaluate = [base = slow.evaluate](const Vec& g) {
     volatile double sink = 0;
-    for (int i = 0; i < 2000000; ++i) sink += i;
+    for (int i = 0; i < 2000000; ++i) sink = sink + i;
     return base(g);
   };
   Nsga2Result result = RunNsga2(slow, {.population = 64, .generations = 50,

@@ -131,10 +131,11 @@ void HashSummary(const RoSummary& s, Fnv1a* h) {
   h->Add(s.jobs_completed);
   h->Add(s.jobs_failed);
   h->Add(s.jobs_latency_sensitive);
-  h->Add(s.brownout_demotions);
-  h->Add(s.brownout_promotions);
-  h->Add(s.brownout_theta0_jobs);
-  h->Add(s.brownout_fuxi_jobs);
+  // Four zero words where the deleted static brown-out controller's
+  // counters were hashed (zero in every config: CoDel forced it off and
+  // Simulator::Run never set them), so the constants stay comparable
+  // across the deletion.
+  for (int i = 0; i < 4; ++i) h->Add(0L);
   h->Add(s.deadline_expired_jobs);
   h->Add(s.expired_in_queue);
   h->Add(s.codel_shed_jobs);

@@ -1,6 +1,5 @@
-// Concurrent RO-service tests: brown-out hysteresis (including the
-// promotion-time p95-window clearing), adaptive-CoDel admission control
-// with priority-lane protection, determinism of the merged replay across
+// Concurrent RO-service tests: adaptive-CoDel admission control with
+// priority-lane protection, determinism of the merged replay across
 // worker counts, load shedding on a full admission queue, priority
 // ordering, deadline-aware dequeue shedding, and counter consistency.
 //
@@ -17,171 +16,12 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "service/brownout.h"
 #include "service/ro_service.h"
 #include "sim/experiment_env.h"
 #include "sim/ro_metrics.h"
 
 namespace fgro {
 namespace {
-
-// ---------------------------------------------------------------------------
-// BrownoutController unit tests (no concurrency, no fixture).
-
-BrownoutOptions TestBrownout() {
-  BrownoutOptions options;
-  options.enabled = true;
-  options.queue_high_fraction = 0.75;
-  options.queue_low_fraction = 0.25;
-  options.demote_after = 3;
-  options.promote_after = 2;
-  return options;
-}
-
-TEST(BrownoutControllerTest, DisabledHoldsNormal) {
-  BrownoutOptions options;  // enabled = false
-  BrownoutController controller(options);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(controller.Observe(10, 10, 1e9), BrownoutLevel::kNormal);
-  }
-  EXPECT_EQ(controller.demotions(), 0);
-}
-
-TEST(BrownoutControllerTest, DemotesOneLevelPerStreakAndRepromotes) {
-  BrownoutController controller(TestBrownout());
-  // Two pressured observations are not enough (demote_after = 3).
-  EXPECT_EQ(controller.Observe(9, 10, 0.0), BrownoutLevel::kNormal);
-  EXPECT_EQ(controller.Observe(9, 10, 0.0), BrownoutLevel::kNormal);
-  // Third demotes one level only.
-  EXPECT_EQ(controller.Observe(9, 10, 0.0), BrownoutLevel::kTheta0);
-  // The next streak demotes to the floor and stays there.
-  controller.Observe(9, 10, 0.0);
-  controller.Observe(9, 10, 0.0);
-  EXPECT_EQ(controller.Observe(9, 10, 0.0), BrownoutLevel::kFuxi);
-  EXPECT_EQ(controller.Observe(9, 10, 0.0), BrownoutLevel::kFuxi);
-  EXPECT_EQ(controller.demotions(), 2);
-  // Clear observations walk back up one level per streak.
-  EXPECT_EQ(controller.Observe(0, 10, 0.0), BrownoutLevel::kFuxi);
-  EXPECT_EQ(controller.Observe(0, 10, 0.0), BrownoutLevel::kTheta0);
-  controller.Observe(0, 10, 0.0);
-  EXPECT_EQ(controller.Observe(0, 10, 0.0), BrownoutLevel::kNormal);
-  EXPECT_EQ(controller.promotions(), 2);
-}
-
-TEST(BrownoutControllerTest, MiddleBandResetsBothStreaks) {
-  BrownoutController controller(TestBrownout());
-  controller.Observe(9, 10, 0.0);
-  controller.Observe(9, 10, 0.0);
-  // Depth in (low, high): holds the level and forgets the streak.
-  EXPECT_EQ(controller.Observe(5, 10, 0.0), BrownoutLevel::kNormal);
-  controller.Observe(9, 10, 0.0);
-  EXPECT_EQ(controller.Observe(9, 10, 0.0), BrownoutLevel::kNormal);
-  EXPECT_EQ(controller.Observe(9, 10, 0.0), BrownoutLevel::kTheta0);
-}
-
-TEST(BrownoutControllerTest, P95ThresholdAlonePressures) {
-  BrownoutOptions options = TestBrownout();
-  options.p95_high_seconds = 1.0;
-  options.p95_low_seconds = 0.5;
-  BrownoutController controller(options);
-  // Queue empty, but p95 above the high mark: still pressure.
-  controller.Observe(0, 10, 2.0);
-  controller.Observe(0, 10, 2.0);
-  EXPECT_EQ(controller.Observe(0, 10, 2.0), BrownoutLevel::kTheta0);
-  // Clear now needs BOTH depth and p95 below the low marks.
-  controller.Observe(0, 10, 0.7);  // middle band: hold
-  EXPECT_EQ(controller.level(), BrownoutLevel::kTheta0);
-  controller.Observe(0, 10, 0.1);
-  EXPECT_EQ(controller.Observe(0, 10, 0.1), BrownoutLevel::kNormal);
-}
-
-TEST(BrownoutControllerTest, AlternatingPressureNeverDemotes) {
-  // Strictly alternating pressured / clear observations: each flip resets
-  // the opposite streak, so with demote_after = 3 and promote_after = 2 the
-  // controller must hold kNormal forever — the hysteresis point.
-  BrownoutController controller(TestBrownout());
-  for (int i = 0; i < 40; ++i) {
-    const BrownoutLevel level = i % 2 == 0
-                                    ? controller.Observe(9, 10, 0.0)
-                                    : controller.Observe(0, 10, 0.0);
-    EXPECT_EQ(level, BrownoutLevel::kNormal) << "observation " << i;
-  }
-  EXPECT_EQ(controller.demotions(), 0);
-  EXPECT_EQ(controller.promotions(), 0);
-}
-
-TEST(BrownoutControllerTest, RepromotesExactlyAtPromoteAfter) {
-  BrownoutOptions options = TestBrownout();
-  options.promote_after = 4;
-  BrownoutController controller(options);
-  // Demote once (demote_after = 3).
-  controller.Observe(9, 10, 0.0);
-  controller.Observe(9, 10, 0.0);
-  ASSERT_EQ(controller.Observe(9, 10, 0.0), BrownoutLevel::kTheta0);
-  // promote_after - 1 clear observations hold the level...
-  for (int i = 0; i < options.promote_after - 1; ++i) {
-    EXPECT_EQ(controller.Observe(0, 10, 0.0), BrownoutLevel::kTheta0)
-        << "clear observation " << i;
-  }
-  // ...a middle-band blip resets the clear streak entirely...
-  EXPECT_EQ(controller.Observe(5, 10, 0.0), BrownoutLevel::kTheta0);
-  for (int i = 0; i < options.promote_after - 1; ++i) {
-    EXPECT_EQ(controller.Observe(0, 10, 0.0), BrownoutLevel::kTheta0)
-        << "post-reset clear observation " << i;
-  }
-  // ...and the promote_after-th consecutive clear promotes, exactly then.
-  EXPECT_EQ(controller.Observe(0, 10, 0.0), BrownoutLevel::kNormal);
-  EXPECT_EQ(controller.promotions(), 1);
-  EXPECT_EQ(controller.demotions(), 1);
-}
-
-TEST(BrownoutControllerTest, PromotionClearsStaleP95Window) {
-  // Staleness regression (demote -> promote -> no spurious re-demote): the
-  // rolling service-time window is owned by the controller precisely so a
-  // promotion can drop it. Before the fix the window survived promotion,
-  // and with the exact small-window p95 sitting on the slowest retained
-  // sample, latencies recorded under the brown-out kept masquerading as
-  // fresh pressure against p95_high after the service had recovered.
-  BrownoutOptions options = TestBrownout();
-  options.demote_after = 2;
-  options.promote_after = 2;
-  options.p95_high_seconds = 1.0;
-  options.p95_low_seconds = 0.5;
-  options.p95_window = 8;
-  BrownoutController controller(options);
-
-  // Overload: slow completions push the window p95 over the high mark,
-  // and the deep queue agrees — two pressured observations demote.
-  for (int i = 0; i < 8; ++i) controller.AddSample(2.0);
-  EXPECT_GT(controller.WindowP95(), options.p95_high_seconds);
-  controller.Observe(9, 10, controller.WindowP95());
-  EXPECT_EQ(controller.Observe(9, 10, controller.WindowP95()),
-            BrownoutLevel::kTheta0);
-  ASSERT_EQ(controller.demotions(), 1);
-
-  // Recovery: fast browned-out completions age the slow samples out of the
-  // bounded window; two clear observations then promote.
-  for (int i = 0; i < 8; ++i) controller.AddSample(0.05);
-  ASSERT_LT(controller.WindowP95(), options.p95_low_seconds);
-  controller.Observe(0, 10, controller.WindowP95());
-  EXPECT_EQ(controller.Observe(0, 10, controller.WindowP95()),
-            BrownoutLevel::kNormal);
-  ASSERT_EQ(controller.promotions(), 1);
-
-  // The fix under test: promotion dropped the window, so nothing recorded
-  // before the recovery can feed the next pressure decision.
-  EXPECT_DOUBLE_EQ(controller.WindowP95(), 0.0);
-
-  // Fresh, healthy completions: the controller holds kNormal — no
-  // spurious re-demote from retained brown-out-era history.
-  for (int i = 0; i < 8; ++i) {
-    controller.AddSample(0.05);
-    EXPECT_EQ(controller.Observe(0, 10, controller.WindowP95()),
-              BrownoutLevel::kNormal)
-        << "post-promotion observation " << i;
-  }
-  EXPECT_EQ(controller.demotions(), 1);
-}
 
 // ---------------------------------------------------------------------------
 // RoService tests over a shared trained environment.
@@ -345,48 +185,6 @@ TEST_F(ServiceFixture, LatencySensitiveOvertakesBatch) {
   EXPECT_LT(ls_pos, b3_pos);
   EXPECT_LT(b2_pos, b3_pos);  // FIFO within the batch lane
   EXPECT_EQ(service.Stats().jobs_latency_sensitive, 1);
-}
-
-TEST_F(ServiceFixture, BrownoutDemotesUnderOverloadAndRepromotesWhenClear) {
-  RoServiceOptions options;
-  options.queue_capacity = 8;
-  options.min_service_seconds = 0.02;
-  options.brownout.enabled = true;
-  options.brownout.queue_high_fraction = 0.5;
-  options.brownout.queue_low_fraction = 0.25;
-  options.brownout.demote_after = 2;
-  options.brownout.promote_after = 2;
-  RoService service(&env_->workload(), &env_->model(), BaseSim(1),
-                    StageOptimizer::IpaRaaPathWithFallback(), options);
-
-  // Phase 1 — overload: burst past the high-water mark. Every admission
-  // with depth > 4 is a pressured observation, so the burst itself walks
-  // the controller down the ladder before the worker can catch up.
-  for (int round = 0; round < 2; ++round) {
-    for (int j = 0; j < NumJobs(); ++j) {
-      (void)service.Submit(j);  // sheds are expected and fine here
-    }
-  }
-  RoServiceStats mid = service.Stats();
-  EXPECT_GT(mid.brownout_demotions, 0);
-  service.Drain();
-
-  // Phase 2 — pressure clears: one job at a time keeps the queue near
-  // empty, so every admission and completion is a clear observation.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(service.Submit(i % NumJobs()).ok());
-    service.Drain();
-  }
-  EXPECT_EQ(service.brownout_level(), BrownoutLevel::kNormal);
-  service.Stop();
-  RoServiceStats stats = service.Stats();
-  EXPECT_GT(stats.brownout_demotions, 0);
-  EXPECT_GT(stats.brownout_promotions, 0);
-  // Demoted jobs actually ran degraded.
-  EXPECT_GT(stats.brownout_theta0_jobs + stats.brownout_fuxi_jobs, 0);
-  RoSummary summary = service.Summary();
-  // Degraded jobs surface in the ladder histogram: not everything primary.
-  EXPECT_GT(summary.fallback_histogram[1] + summary.fallback_histogram[2], 0);
 }
 
 TEST_F(ServiceFixture, ExpiredDeadlineCompletedAsShedAtDequeue) {

@@ -200,7 +200,9 @@ TEST_F(SimulatorFixture, GprModeRunsWithFittedModel) {
       sim.Run([](const SchedulingContext& c) { return FuxiSchedule(c); });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   for (const StageOutcome& o : result->outcomes) {
-    if (o.feasible) EXPECT_GT(o.stage_latency, 0.0);
+    if (o.feasible) {
+      EXPECT_GT(o.stage_latency, 0.0);
+    }
   }
 }
 
